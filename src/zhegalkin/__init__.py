@@ -15,30 +15,17 @@ from .exprs import And, Const, Expr, Not, Or, ParseError, Var, Xor, expr_to_anf,
 from .forms import KForm
 from .integration import (
     Face,
-    FacePair,
     StokesReport,
     SweepSummary,
-    WholeCube,
     face_vertices,
     integrate_boundary,
     integrate_face,
-    integrate_monomial_form,
     integrate_top,
     stokes_check,
     stokes_sweep,
-    support,
 )
 from .secant import SecantElement, differential, pair
-from .textio import (
-    format_anf,
-    format_form,
-    format_secant,
-    format_table,
-    parse_anf,
-    parse_form,
-    parse_secant,
-    parse_table,
-)
+from .textio import parse_anf, parse_form, parse_secant, parse_table
 
 __version__ = "0.1.0"
 
@@ -47,7 +34,6 @@ __all__ = [
     "Const",
     "Expr",
     "Face",
-    "FacePair",
     "KForm",
     "MAX_DENSE_ARITY",
     "Not",
@@ -59,20 +45,14 @@ __all__ = [
     "TransformBenchReport",
     "TruthTable",
     "Var",
-    "WholeCube",
     "Xor",
     "ZhegalkinPoly",
     "differential",
     "expr_to_anf",
     "face_vertices",
-    "format_anf",
-    "format_form",
-    "format_secant",
-    "format_table",
     "indices_from_mask",
     "integrate_boundary",
     "integrate_face",
-    "integrate_monomial_form",
     "integrate_top",
     "mask_from_indices",
     "mobius_transform",
@@ -85,6 +65,5 @@ __all__ = [
     "run_transform_benchmark",
     "stokes_check",
     "stokes_sweep",
-    "support",
     "vertex_mask",
 ]

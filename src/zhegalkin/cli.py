@@ -8,7 +8,6 @@ reads from standard input.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from .anf import ZhegalkinPoly
@@ -22,9 +21,7 @@ from .integration import (
     stokes_check,
     stokes_sweep,
 )
-from .textio import parse_anf, parse_form, parse_table
-
-_TABLE_RE = re.compile(r"\s*\d+\s*:")
+from .textio import _TABLE_TEXT, parse_anf, parse_form, parse_table
 
 
 def _read_arg(value: str) -> str:
@@ -54,7 +51,7 @@ def _face_arg(text: str) -> Face:
 
 def _poly_from_expr_or_table(args) -> ZhegalkinPoly:
     text = _read_arg(args.input)
-    if _TABLE_RE.match(text):
+    if _TABLE_TEXT.match(text):
         table = parse_table(text)
         if args.n is not None and args.n != table.arity:
             raise ValueError(

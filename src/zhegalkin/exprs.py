@@ -9,15 +9,17 @@ Grammar (binary operators left-associative, loosest first):
     unary := "!" unary | atom
     atom  := "0" | "1" | "x" DIGITS | "(" expr ")"
 
-The words and/or/xor/not are aliases for &, |, ^, !.  Whitespace is
-insignificant.  Translation uses the Boolean-ring identities: a&b is a*b,
-a|b is a+b+a*b, !a is 1+a, and ^ is ring addition.
+The words and/or/xor/not are aliases for &, |, ^, !.  Whitespace between
+tokens is insignificant; DIGITS are ASCII.  The lexer here also reads the
+canonical formats of `textio`.  Translation uses the Boolean-ring
+identities: a&b is a*b, a|b is a+b+a*b, !a is 1+a, and ^ is ring addition.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 from .anf import ZhegalkinPoly, _check_arity
 
@@ -82,73 +84,68 @@ class Xor:
 
 
 Expr = Union[Const, Var, Not, And, Or, Xor]
+_BINARY = (And, Or, Xor)
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
+_OPERATORS = frozenset("&|^!()") | {"end"}
+
+# The one lexer for every text format: variables x<digits>, ASCII words,
+# ASCII numbers, and any other non-space character on its own.  finditer
+# skips the whitespace between tokens; a token is never split by it.
+_TOKEN_RE = re.compile(r"(?P<var>x[0-9]+)|(?P<name>[A-Za-z]+)|(?P<num>[0-9]+)|\S")
 
 
-class _Token(NamedTuple):
-    kind: str  # one of & | ^ ! ( ) const var end
-    value: int  # constant bit or variable index; 0 otherwise
-    pos: int
+def _lex(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) tokens ending in ("end", "", len(source)).
 
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "&|^!()":
-            tokens.append(_Token(c, 0, i))
-            i += 1
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            text = source[start:i]
-            if text not in ("0", "1"):
-                raise ParseError(f"constants are 0 and 1, got {text!r}", start)
-            tokens.append(_Token("const", int(text), start))
-            continue
-        if c.isalpha():
-            start = i
-            while i < n and source[i].isalpha():
-                i += 1
-            word = source[start:i]
-            if word in _WORD_OPS:
-                tokens.append(_Token(_WORD_OPS[word], 0, start))
-                continue
-            if word == "x":
-                digits_start = i
-                while i < n and source[i].isdigit():
-                    i += 1
-                if i == digits_start:
-                    raise ParseError("expected digits after 'x'", digits_start)
-                index = int(source[digits_start:i])
-                if index < 1:
-                    raise ParseError("variable index must be at least 1", start)
-                tokens.append(_Token("var", index, start))
-                continue
-            raise ParseError(f"unknown name {word!r}", start)
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", 0, n))
+    The kind is var, name or num, or the punctuation character itself.
+    """
+    if not isinstance(source, str):
+        raise ParseError("input must be text", 0)
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN_RE.finditer(source)]
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
+def _number(digits: str, pos: int) -> int:
+    """The value of a run of ASCII digits, as a ParseError if it is too long."""
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's int/str digit limit
+        raise ParseError(f"number too long ({len(digits)} digits)", pos) from None
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        # Lexical errors come first, left to right; tokens become
+        # (kind, value, pos) with names mapped onto operators.
+        self.tokens = []
+        for kind, text, pos in _lex(source):
+            value = 0
+            if kind == "var":
+                value = _number(text[1:], pos)
+                if value < 1:
+                    raise ParseError("variable index must be at least 1", pos)
+            elif kind == "num":
+                if text not in ("0", "1"):
+                    raise ParseError(f"constants are 0 and 1, got {text!r}", pos)
+                value = _number(text, pos)
+            elif kind == "name":
+                if text == "x":
+                    raise ParseError("expected digits after 'x'", pos + 1)
+                if text not in _WORD_OPS:
+                    raise ParseError(f"unknown name {text!r}", pos)
+                kind = _WORD_OPS[text]
+            elif kind not in _OPERATORS:
+                raise ParseError(f"unexpected character {kind!r}", pos)
+            self.tokens.append((kind, value, pos))
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, int, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
@@ -160,66 +157,64 @@ class _Parser:
 
     def parse(self) -> Expr:
         expr = self.or_level()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input", tok.pos)
+        kind, _, pos = self.tokens[self.i]
+        if kind != "end":
+            raise ParseError("unexpected trailing input", pos)
         return expr
 
     def or_level(self) -> Expr:
         left = self.xor_level()
-        while self.peek().kind == "|":
-            self.advance()
+        while self.peek() == "|":
+            self.i += 1
             left = Or(left, self.xor_level())
         return left
 
     def xor_level(self) -> Expr:
         left = self.and_level()
-        while self.peek().kind == "^":
-            self.advance()
+        while self.peek() == "^":
+            self.i += 1
             left = Xor(left, self.and_level())
         return left
 
     def and_level(self) -> Expr:
         left = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
+        while self.peek() == "&":
+            self.i += 1
             left = And(left, self.unary())
         return left
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            self._enter(tok.pos)
+        kind, _, pos = self.tokens[self.i]
+        if kind == "!":
+            self.i += 1
+            self._enter(pos)
             child = self.unary()
             self.depth -= 1
             return Not(child)
         return self.atom()
 
     def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "const":
-            return Const(tok.value)
-        if tok.kind == "var":
-            return Var(tok.value)
-        if tok.kind == "(":
-            self._enter(tok.pos)
+        kind, value, pos = self.advance()
+        if kind == "num":
+            return Const(value)
+        if kind == "var":
+            return Var(value)
+        if kind == "(":
+            self._enter(pos)
             inner = self.or_level()
             self.depth -= 1
-            closing = self.advance()
-            if closing.kind != ")":
-                raise ParseError("expected ')'", closing.pos)
+            kind, _, pos = self.advance()
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
             return inner
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.pos)
-        raise ParseError(f"unexpected token {tok.kind!r}", tok.pos)
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"unexpected token {kind!r}", pos)
 
 
 def parse_expr(source: str) -> Expr:
     """Parse an expression; raises ParseError with a position on bad input."""
-    if not isinstance(source, str):
-        raise ParseError("input must be text", 0)
-    return _Parser(_tokenize(source)).parse()
+    return _Parser(source).parse()
 
 
 def expr_to_anf(expr: Expr, arity: int) -> ZhegalkinPoly:
@@ -229,20 +224,32 @@ def expr_to_anf(expr: Expr, arity: int) -> ZhegalkinPoly:
 
 
 def _translate(expr: Expr, n: int) -> ZhegalkinPoly:
-    if isinstance(expr, Const):
-        return ZhegalkinPoly.constant(n, expr.value)
     if isinstance(expr, Var):
         if expr.index > n:
             raise ValueError(f"variable x{expr.index} exceeds arity {n}")
         return ZhegalkinPoly.variable(n, expr.index)
     if isinstance(expr, Not):
         return ZhegalkinPoly.one(n) + _translate(expr.child, n)
-    if isinstance(expr, And):
-        return _translate(expr.left, n) * _translate(expr.right, n)
-    if isinstance(expr, Xor):
-        return _translate(expr.left, n) + _translate(expr.right, n)
-    if isinstance(expr, Or):
-        a = _translate(expr.left, n)
-        b = _translate(expr.right, n)
-        return a + b + a * b
-    raise TypeError(f"not an expression node: {expr!r}")
+    if isinstance(expr, Const):
+        return ZhegalkinPoly.constant(n, expr.value)
+    if not isinstance(expr, _BINARY):
+        raise TypeError(f"not an expression node: {expr!r}")
+    # Operator chains parse left-deep, so walk the left spine in a loop and
+    # recurse only into right operands and negations, whose depth the
+    # parser bounds.
+    spine = [expr]
+    left = expr.left
+    while isinstance(left, _BINARY):
+        spine.append(left)
+        left = left.left
+    acc = _translate(left, n)
+    while spine:
+        node = spine.pop()
+        b = _translate(node.right, n)
+        if isinstance(node, And):
+            acc = acc * b
+        elif isinstance(node, Xor):
+            acc = acc + b
+        else:
+            acc = acc + b + acc * b
+    return acc

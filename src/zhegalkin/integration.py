@@ -9,41 +9,32 @@ Conventions, fixed here and relied on by the checker:
 
 * A top-degree form f*d{1..n} integrates over the whole cube to f at the
   all-ones vertex (equivalently, the XOR over all vertices of x_1..x_n*f).
-* A single-term form of any degree integrates over its support as the XOR
-  over the *entire* cube of (index monomial)*(coefficient); for degrees
-  n and n-1 this reproduces the two formulas the boundary theorem uses.
 * A term g*d{I} of an (n-1)-form contributes to a face only along its one
   missing axis k, where it contributes g evaluated at the vertex with
   every coordinate 1 except coordinate k at the face's level.  At n=1 the
   term is a bare polynomial and the face is a single vertex; the empty
   index monomial is 1, so the integral is plain evaluation there.
-* `support` is only defined for degrees n and n-1, the two cases with an
-  unambiguous region; other degrees are rejected rather than guessed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .anf import ZhegalkinPoly, _check_arity, _check_index
 from .forms import KForm
 
 __all__ = [
     "Face",
-    "FacePair",
     "StokesReport",
     "SweepSummary",
-    "WholeCube",
     "face_vertices",
     "integrate_boundary",
     "integrate_face",
-    "integrate_monomial_form",
     "integrate_top",
     "stokes_check",
     "stokes_sweep",
-    "support",
 ]
 
 
@@ -52,21 +43,6 @@ class Face(NamedTuple):
 
     axis: int
     level: int
-
-
-@dataclass(frozen=True)
-class WholeCube:
-    """Support descriptor: the integral runs over every vertex."""
-
-
-@dataclass(frozen=True)
-class FacePair:
-    """Support descriptor: the two faces pinning `axis` to 0 and to 1."""
-
-    axis: int
-
-
-SupportDescriptor = Union[WholeCube, FacePair]
 
 
 def _check_face(arity: int, face) -> Face:
@@ -90,30 +66,9 @@ def face_vertices(arity: int, face) -> list[int]:
     return out
 
 
-def _single_term(w: KForm):
-    if len(w.coeffs) != 1:
-        raise ValueError(
-            f"expected a single-term form, got {len(w.coeffs)} terms"
-        )
-    return next(iter(w.coeffs.items()))
-
-
 def _missing_axis(arity: int, key: int) -> int:
     # key has arity-1 bits set; the one clear bit names the missing axis
     return (key ^ ((1 << arity) - 1)).bit_length()
-
-
-def support(w: KForm) -> SupportDescriptor:
-    """Integration region of a single-term form of degree n or n-1."""
-    n = w.arity
-    key, _ = _single_term(w)
-    if w.degree == n:
-        return WholeCube()
-    if w.degree == n - 1:
-        return FacePair(_missing_axis(n, key))
-    raise ValueError(
-        f"support is defined for degrees {n - 1} and {n}, got {w.degree}"
-    )
 
 
 def integrate_top(w: KForm) -> int:
@@ -154,17 +109,6 @@ def integrate_boundary(w: KForm) -> int:
         for level in (0, 1):
             total ^= integrate_face(w, Face(axis, level))
     return total
-
-
-def integrate_monomial_form(w: KForm) -> int:
-    """Integral of a single-term form f*d{I} over its support.
-
-    Computed as the XOR over every vertex of (x_I*f), i.e. the parity of
-    that product's support; agrees with `integrate_top` at degree n.
-    """
-    key, poly = _single_term(w)
-    product = ZhegalkinPoly(w.arity, [key]) * poly
-    return product.to_truth_table().bits.bit_count() & 1
 
 
 @dataclass

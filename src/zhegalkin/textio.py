@@ -1,4 +1,4 @@
-"""Parsers and formatters for the canonical text formats.
+"""Parsers for the canonical text formats.
 
 ANF text: terms joined by " + ", each "1" or "x<i>" factors joined by "*"
 with ascending indices; the zero polynomial is "0".  Form text: terms
@@ -7,177 +7,148 @@ print as bare ANF, the zero form prints "0".  Operator-field text is the
 same with D<i> in place of d{...}.  Truth tables print as "n:HEX" with
 entry k at bit k of the hex value.
 
-Formatting is `str()` on the value; parsing accepts insignificant
-whitespace but otherwise sticks to the canonical shapes (indices must
+Formatting is `str()` on the value.  Parsing reads the tokens of the lexer
+in `exprs`, so whitespace between tokens is insignificant and numbers are
+ASCII digits; otherwise it sticks to the canonical shapes (indices must
 ascend, repeated terms or index sets are rejected rather than folded).
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_arity
-from .exprs import ParseError
+from .exprs import ParseError, _lex, _number
 from .forms import KForm
 from .secant import SecantElement
 
 __all__ = [
-    "format_anf",
-    "format_form",
-    "format_secant",
-    "format_table",
     "parse_anf",
     "parse_form",
     "parse_secant",
     "parse_table",
 ]
 
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
+# "n:HEX"; the CLI takes any text this matches a prefix of for a table
+_TABLE_TEXT = re.compile(r"\s*([0-9]+)\s*:\s*([0-9a-fA-F]*)\s*")
 
 
-class _Scanner:
-    __slots__ = ("src", "pos")
-
-    def __init__(self, src):
-        if not isinstance(src, str):
-            raise ParseError("input must be text", 0)
-        self.src = src
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.src)
-
-    def peek(self) -> str:
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def take(self) -> str:
-        c = self.src[self.pos]
-        self.pos += 1
-        return c
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def expect_end(self):
-        self.skip_ws()
-        if not self.at_end():
-            self.fail("unexpected trailing input")
-
-    def read_int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a number")
-        return int(self.src[start : self.pos])
+def _tokens(source: str) -> list[tuple[str, str, int]]:
+    tokens = _lex(source)
+    if len(tokens) == 1:
+        raise ParseError("empty input", tokens[0][2])
+    return tokens
 
 
-def _read_var_index(sc: _Scanner, arity: int) -> int:
-    sc.expect("x")
-    at = sc.pos
-    index = sc.read_int()
-    if index < 1:
-        raise ParseError("variable index must be at least 1", at - 1)
-    if index > arity:
-        raise ParseError(f"variable x{index} exceeds arity {arity}", at - 1)
-    return index
+def _expect(tokens, i: int, kind: str) -> int:
+    if tokens[i][0] != kind:
+        raise ParseError(f"expected {kind!r}", tokens[i][2])
+    return i + 1
 
 
-def _read_term(sc: _Scanner, arity: int) -> int:
-    if sc.peek() == "1":
-        sc.take()
-        return 0
-    at = sc.pos
-    index = _read_var_index(sc, arity)
-    mask = 1 << (index - 1)
-    last = index
+def _read_term(tokens, i: int, arity: int) -> tuple[int, int]:
+    """Monomial mask of the term at tokens[i], and the index after it."""
+    if tokens[i][1] == "1":
+        return 0, i + 1
+    mask = 0
+    last = 0
     while True:
-        mark = sc.pos
-        sc.skip_ws()
-        if sc.peek() != "*":
-            sc.pos = mark
-            return mask
-        sc.take()
-        sc.skip_ws()
-        at = sc.pos
-        index = _read_var_index(sc, arity)
+        kind, text, pos = tokens[i]
+        if kind != "var":
+            raise ParseError("expected 'x'", pos)
+        index = _number(text[1:], pos)
+        if index < 1:
+            raise ParseError("variable index must be at least 1", pos)
+        if index > arity:
+            raise ParseError(f"variable x{index} exceeds arity {arity}", pos)
         if index <= last:
-            raise ParseError("variable indices must ascend within a term", at)
+            raise ParseError("variable indices must ascend within a term", pos)
         mask |= 1 << (index - 1)
         last = index
+        i += 1
+        if tokens[i][0] != "*":
+            return mask, i
+        i += 1
 
 
-def _read_anf(sc: _Scanner, arity: int, stops: str) -> ZhegalkinPoly:
-    sc.skip_ws()
-    if sc.peek() == "0":
-        sc.take()
-        sc.skip_ws()
-        if not sc.at_end() and sc.peek() not in stops:
-            sc.fail('"0" must stand alone')
-        return ZhegalkinPoly.zero(arity)
+def _read_anf(tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int]:
+    """Polynomial at tokens[i] up to a `stop` or end token, and its index."""
+    if tokens[i][1] == "0":
+        kind, _, pos = tokens[i + 1]
+        if kind != stop and kind != "end":
+            raise ParseError('"0" must stand alone', pos)
+        return ZhegalkinPoly.zero(arity), i + 1
     terms = set()
     while True:
-        at = sc.pos
-        mask = _read_term(sc, arity)
+        at = tokens[i][2]
+        mask, i = _read_term(tokens, i, arity)
         if mask in terms:
             raise ParseError("duplicate term", at)
         terms.add(mask)
-        sc.skip_ws()
-        if sc.at_end() or sc.peek() in stops:
-            return ZhegalkinPoly(arity, terms)
-        sc.expect("+")
-        sc.skip_ws()
+        kind = tokens[i][0]
+        if kind == stop or kind == "end":
+            return ZhegalkinPoly(arity, terms), i
+        i = _expect(tokens, i, "+")
 
 
 def parse_anf(source: str, arity: int) -> ZhegalkinPoly:
     """Parse canonical ANF text into a polynomial of the given arity."""
     _check_arity(arity)
-    sc = _Scanner(source)
-    sc.skip_ws()
-    if sc.at_end():
-        sc.fail("empty input")
-    poly = _read_anf(sc, arity, stops="")
-    sc.expect_end()
-    return poly
+    return _read_anf(_tokens(source), 0, arity, "end")[0]
 
 
-def format_anf(poly: ZhegalkinPoly) -> str:
-    return str(poly)
-
-
-def _read_index_set(sc: _Scanner, arity: int, brace: bool) -> int:
-    # "{i,j,...}" after d, or bare digits after D
+def _read_index_set(tokens, i: int, arity: int, brace: bool) -> tuple[int, int]:
+    # "{i,j,...}" after d, or one bare index after D
+    if brace:
+        i = _expect(tokens, i, "{")
     mask = 0
     last = 0
-    if brace:
-        sc.expect("{")
     while True:
-        sc.skip_ws()
-        at = sc.pos
-        index = sc.read_int()
+        kind, text, pos = tokens[i]
+        if kind != "num":
+            raise ParseError("expected a number", pos)
+        index = _number(text, pos)
         if index < 1 or index > arity:
-            raise ParseError(f"index {index} out of range 1..{arity}", at)
+            raise ParseError(f"index {index} out of range 1..{arity}", pos)
         if index <= last:
-            raise ParseError("indices must ascend", at)
+            raise ParseError("indices must ascend", pos)
         mask |= 1 << (index - 1)
         last = index
+        i += 1
         if not brace:
-            return mask
-        sc.skip_ws()
-        if sc.peek() == ",":
-            sc.take()
-            continue
-        sc.expect("}")
-        return mask
+            return mask, i
+        if tokens[i][0] != ",":
+            return mask, _expect(tokens, i, "}")
+        i += 1
+
+
+def _read_slots(tokens, arity: int, op: str) -> dict[int, ZhegalkinPoly]:
+    """Terms "(ANF)*<op><indices>" joined by "+", as index mask -> coefficient.
+
+    Every term's index set must have the same size.
+    """
+    coeffs = {}
+    size = None
+    i = 0
+    while True:
+        i = _expect(tokens, i, "(")
+        poly, i = _read_anf(tokens, i, arity, ")")
+        i = _expect(tokens, i, ")")
+        i = _expect(tokens, i, "*")
+        kind, text, at = tokens[i]
+        if kind != "name" or text != op:
+            raise ParseError(f"expected {op!r}", at)
+        mask, i = _read_index_set(tokens, i + 1, arity, brace=op == "d")
+        if mask in coeffs:
+            raise ParseError("duplicate index set", at)
+        if size is not None and mask.bit_count() != size:
+            raise ParseError("mixed degrees in form", at)
+        size = mask.bit_count()
+        coeffs[mask] = poly
+        if tokens[i][0] == "end":
+            return coeffs
+        i = _expect(tokens, i, "+")
 
 
 def parse_form(source: str, arity: int, degree: Optional[int] = None) -> KForm:
@@ -190,40 +161,12 @@ def parse_form(source: str, arity: int, degree: Optional[int] = None) -> KForm:
     _check_arity(arity)
     if degree is not None and not 0 <= degree <= arity:
         raise ValueError(f"degree {degree!r} out of range 0..{arity}")
-    sc = _Scanner(source)
-    sc.skip_ws()
-    if sc.at_end():
-        sc.fail("empty input")
-    if sc.peek() != "(":
-        poly = _read_anf(sc, arity, stops="")
-        sc.expect_end()
-        form = KForm.from_poly(poly)
+    tokens = _tokens(source)
+    if tokens[0][0] != "(":
+        form = KForm.from_poly(_read_anf(tokens, 0, arity, "end")[0])
     else:
-        coeffs = {}
-        seen_degree = None
-        while True:
-            sc.expect("(")
-            poly = _read_anf(sc, arity, stops=")")
-            sc.expect(")")
-            sc.skip_ws()
-            sc.expect("*")
-            sc.skip_ws()
-            at = sc.pos
-            sc.expect("d")
-            mask = _read_index_set(sc, arity, brace=True)
-            if mask in coeffs:
-                raise ParseError("duplicate index set", at)
-            if seen_degree is None:
-                seen_degree = mask.bit_count()
-            elif mask.bit_count() != seen_degree:
-                raise ParseError("mixed degrees in form", at)
-            coeffs[mask] = poly
-            sc.skip_ws()
-            if sc.at_end():
-                break
-            sc.expect("+")
-            sc.skip_ws()
-        form = KForm(arity, seen_degree, coeffs)
+        coeffs = _read_slots(tokens, arity, "d")
+        form = KForm(arity, next(iter(coeffs)).bit_count(), coeffs)
     if degree is not None and form.degree != degree:
         if form.is_zero:
             return KForm.zero(arity, degree)
@@ -231,80 +174,41 @@ def parse_form(source: str, arity: int, degree: Optional[int] = None) -> KForm:
     return form
 
 
-def format_form(form: KForm) -> str:
-    return str(form)
-
-
 def parse_secant(source: str, arity: int) -> SecantElement:
     """Parse operator-field text "(ANF)*D<i> + ..."; missing slots are zero."""
     _check_arity(arity)
-    sc = _Scanner(source)
-    sc.skip_ws()
-    if sc.at_end():
-        sc.fail("empty input")
+    tokens = _tokens(source)
     coeffs = [ZhegalkinPoly.zero(arity)] * arity
-    if sc.peek() == "0":
-        sc.take()
-        sc.expect_end()
+    if len(tokens) == 2 and tokens[0][1] == "0":
         return SecantElement(arity, coeffs)
-    seen = set()
-    while True:
-        sc.expect("(")
-        poly = _read_anf(sc, arity, stops=")")
-        sc.expect(")")
-        sc.skip_ws()
-        sc.expect("*")
-        sc.skip_ws()
-        at = sc.pos
-        sc.expect("D")
-        mask = _read_index_set(sc, arity, brace=False)
-        if mask in seen:
-            raise ParseError("duplicate operator index", at)
-        seen.add(mask)
+    for mask, poly in _read_slots(tokens, arity, "D").items():
         coeffs[mask.bit_length() - 1] = poly
-        sc.skip_ws()
-        if sc.at_end():
-            break
-        sc.expect("+")
-        sc.skip_ws()
     return SecantElement(arity, coeffs)
-
-
-def format_secant(element: SecantElement) -> str:
-    return str(element)
 
 
 def parse_table(source: str) -> TruthTable:
     """Parse "n:HEX" truth-table text (exactly ceil(2^n/4) hex digits)."""
-    sc = _Scanner(source)
-    sc.skip_ws()
-    at = sc.pos
-    arity = sc.read_int()
+    if not isinstance(source, str):
+        raise ParseError("input must be text", 0)
+    m = _TABLE_TEXT.match(source)
+    if m is None:
+        raise ParseError('expected "n:HEX"', 0)
+    if m.end() != len(source):
+        raise ParseError("unexpected trailing input", m.end())
+    at = m.start(1)
+    arity = _number(m[1], at)
     if arity < 1:
         raise ParseError("arity must be at least 1", at)
     if arity > MAX_DENSE_ARITY:
         raise ParseError(f"arity above dense limit {MAX_DENSE_ARITY}", at)
-    sc.skip_ws()
-    sc.expect(":")
-    sc.skip_ws()
-    start = sc.pos
-    while not sc.at_end() and sc.peek() in _HEX_DIGITS:
-        sc.pos += 1
-    digits = sc.src[start : sc.pos]
-    if not digits:
-        sc.fail("expected hex digits")
-    sc.expect_end()
+    digits = m[2]
     expected = ((1 << arity) + 3) // 4
     if len(digits) != expected:
         raise ParseError(
             f"expected {expected} hex digit(s) for arity {arity}, got {len(digits)}",
-            start,
+            m.start(2),
         )
     bits = int(digits, 16)
     if bits >> (1 << arity):
-        raise ParseError(f"table has bits beyond its 2^{arity} entries", start)
+        raise ParseError(f"table has bits beyond its 2^{arity} entries", m.start(2))
     return TruthTable(arity, bits)
-
-
-def format_table(table: TruthTable) -> str:
-    return str(table)

@@ -40,6 +40,17 @@ def test_anf_table_arity_conflict(capsys):
     assert code == 2 and "conflicts" in err
 
 
+def test_anf_long_flat_chain(capsys):
+    code, out, _ = run_cli(capsys, "anf", "--n", "1", " ^ ".join(["x1"] * 1000))
+    assert code == 0 and out == "0"
+
+
+def test_anf_non_ascii_digits_are_parse_errors(capsys):
+    for text in ("\u00b2:1", "x\u00b2", "x\u0663"):
+        code, out, err = run_cli(capsys, "anf", "--n", "3", text)
+        assert code == 2 and out == "" and "position" in err
+
+
 def test_table_from_anf(capsys):
     code, out, _ = run_cli(capsys, "table", "--n", "2", "x1*x2")
     assert code == 0 and out == "2:8"

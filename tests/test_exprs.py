@@ -11,7 +11,11 @@ from zhegalkin import (
     Var,
     Xor,
     expr_to_anf,
+    parse_anf,
     parse_expr,
+    parse_form,
+    parse_secant,
+    parse_table,
 )
 
 from helpers import EXPR_CORPUS, eval_expr, random_expr
@@ -84,15 +88,39 @@ def test_parser_rejects_deep_nesting_cleanly():
 
 
 def test_parser_totality_fuzz():
+    # every parser returns a value or raises ParseError, whatever the text
+    parsers = [
+        parse_expr,
+        lambda src: parse_anf(src, 3),
+        lambda src: parse_form(src, 3),
+        lambda src: parse_secant(src, 3),
+        parse_table,
+    ]
+    long = "1" * 5000
+    fixed = [
+        long,
+        "x" + long,
+        "x1 + x" + long,
+        "(1)*d{" + long + "}",
+        "(1)*D" + long,
+        long + ":0",
+        "x\u00b2",
+        "x\u0663",
+        "(1)*d{\u00b2}",
+        "\u00b2:1",
+    ]
     rng = random.Random(107)
-    alphabet = "x123456789&|^!()01 andorxnt\t\n\0é$%*+{}"
-    for _ in range(10_000):
-        length = rng.randrange(0, 24)
-        src = "".join(rng.choice(alphabet) for _ in range(length))
-        try:
-            parse_expr(src)
-        except ParseError:
-            pass  # any other exception fails the test
+    alphabet = "x123456789&|^!()01 andorxnt\t\n\0\u00e9$%*+{},:dD\u00b2\u0663"
+    randoms = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 24)))
+        for _ in range(10_000)
+    ]
+    for src in fixed + randoms:
+        for parse in parsers:
+            try:
+                parse(src)
+            except ParseError:
+                pass  # any other exception fails the test
 
 
 def test_expr_to_anf_disjunction():
@@ -108,6 +136,13 @@ def test_expr_to_anf_xor_built_from_or_and_not():
     assert str(got) == "x1 + x2"
     want = expr_to_anf(parse_expr("x1 ^ x2"), 2)
     assert got.to_truth_table() == want.to_truth_table()
+
+
+def test_expr_to_anf_long_flat_chain():
+    # a left-deep chain far longer than the interpreter's recursion limit
+    for op, want in (("^", "0"), ("&", "x1"), ("|", "x1")):
+        tree = parse_expr(f" {op} ".join(["x1"] * 5000))
+        assert str(expr_to_anf(tree, 1)) == want
 
 
 def test_expr_to_anf_arity_check():

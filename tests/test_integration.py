@@ -4,20 +4,16 @@ import pytest
 
 from zhegalkin import (
     Face,
-    FacePair,
     KForm,
     StokesReport,
     SweepSummary,
-    WholeCube,
     ZhegalkinPoly,
     face_vertices,
     integrate_boundary,
     integrate_face,
-    integrate_monomial_form,
     integrate_top,
     stokes_check,
     stokes_sweep,
-    support,
 )
 
 from helpers import all_polys, masks_of_size, random_form, random_poly
@@ -53,19 +49,6 @@ def test_faces_cover_cube():
         assert all(count == n for count in hits.values())
 
 
-def test_support():
-    f = ZhegalkinPoly.variable(3, 1)
-    assert support(KForm.term(f, [1, 2, 3])) == WholeCube()
-    assert support(KForm.term(f, [1, 3])) == FacePair(axis=2)
-    with pytest.raises(ValueError):
-        support(KForm.term(f, [1]))  # degree n-2 has no defined region
-    with pytest.raises(ValueError):
-        support(KForm.zero(3, 2))  # not single-term
-    two_terms = KForm.term(f, [1, 2]) + KForm.term(f, [1, 3])
-    with pytest.raises(ValueError):
-        support(two_terms)
-
-
 def test_integrate_top_examples():
     assert integrate_top(KForm.term(ZhegalkinPoly.one(2), [1, 2])) == 1
     f = ZhegalkinPoly(2, [0b01, 0b10])  # x1 + x2
@@ -77,15 +60,17 @@ def test_integrate_top_examples():
 
 
 def test_integrate_top_equals_whole_cube_sum():
-    # all-ones evaluation vs XOR over the cube of x_1..x_n * f
-    for n in (1, 2, 3):
-        full_mask = (1 << n) - 1
-        top_monomial = ZhegalkinPoly(n, [full_mask])
-        for f in all_polys(n):
-            total = 0
-            for v in range(1 << n):
-                total ^= (top_monomial * f).evaluate(v)
-            assert integrate_top(KForm.term(f, range(1, n + 1))) == total
+    # all-ones evaluation vs XOR over the cube of x_1..x_n * f: every f up
+    # to n=3, random f at n=4
+    rng = random.Random(101)
+    cases = [(n, f) for n in (1, 2, 3) for f in all_polys(n)]
+    cases += [(4, random_poly(rng, 4)) for _ in range(200)]
+    for n, f in cases:
+        top_monomial = ZhegalkinPoly(n, [(1 << n) - 1])
+        total = 0
+        for v in range(1 << n):
+            total ^= (top_monomial * f).evaluate(v)
+        assert integrate_top(KForm.term(f, range(1, n + 1))) == total
 
 
 def test_integrate_face_examples():
@@ -129,45 +114,12 @@ def test_face_integral_vanishes_off_support():
             continue
         key = rng.choice(list(masks_of_size(n, n - 1)))
         w = KForm(n, n - 1, {key: f})
-        pair_axes = support(w)
+        missing = (key ^ ((1 << n) - 1)).bit_length()
         for axis in range(1, n + 1):
             for level in (0, 1):
                 value = integrate_face(w, Face(axis, level))
-                if axis != pair_axes.axis:
+                if axis != missing:
                     assert value == 0
-
-
-def test_integrate_monomial_form_against_pointwise_sum():
-    for n in (1, 2, 3):
-        for k in range(n + 1):
-            for key in masks_of_size(n, k):
-                for f in all_polys(n):
-                    if not f:
-                        continue
-                    w = KForm(n, k, {key: f})
-                    product = ZhegalkinPoly(n, [key]) * f
-                    total = 0
-                    for v in range(1 << n):
-                        total ^= product.evaluate(v)
-                    assert integrate_monomial_form(w) == total
-
-
-def test_integrate_monomial_form_examples():
-    assert integrate_monomial_form(KForm.term(ZhegalkinPoly.one(2), [1, 2])) == 1
-    assert integrate_monomial_form(KForm.term(ZhegalkinPoly.variable(2, 2), [1])) == 1
-    with pytest.raises(ValueError):
-        integrate_monomial_form(KForm.zero(2, 1))
-
-
-def test_integrate_monomial_form_agrees_with_top():
-    rng = random.Random(101)
-    for _ in range(200):
-        n = rng.randrange(1, 5)
-        f = random_poly(rng, n)
-        if not f:
-            continue
-        w = KForm.term(f, range(1, n + 1))
-        assert integrate_monomial_form(w) == integrate_top(w)
 
 
 def test_integration_is_additive():

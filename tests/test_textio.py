@@ -8,10 +8,6 @@ from zhegalkin import (
     TruthTable,
     ZhegalkinPoly,
     differential,
-    format_anf,
-    format_form,
-    format_secant,
-    format_table,
     parse_anf,
     parse_form,
     parse_secant,
@@ -24,10 +20,10 @@ from helpers import random_form, random_poly
 def test_anf_roundtrip_examples():
     p = parse_anf("x1*x2 + 1", 2)
     assert p.terms == frozenset({0b11, 0})
-    assert format_anf(p) == "1 + x1*x2"
-    assert parse_anf(format_anf(p), 2) == p
+    assert str(p) == "1 + x1*x2"
+    assert parse_anf(str(p), 2) == p
     assert parse_anf("0", 3) == ZhegalkinPoly.zero(3)
-    assert format_anf(ZhegalkinPoly.zero(3)) == "0"
+    assert str(ZhegalkinPoly.zero(3)) == "0"
 
 
 def test_anf_roundtrip_random():
@@ -35,12 +31,35 @@ def test_anf_roundtrip_random():
     for _ in range(300):
         n = rng.randrange(1, 7)
         p = random_poly(rng, n)
-        assert parse_anf(format_anf(p), n) == p
+        assert parse_anf(str(p), n) == p
 
 
 def test_anf_accepts_any_term_order_and_whitespace():
     assert parse_anf("x3 + x1*x2", 3) == parse_anf("x1*x2 + x3", 3)
     assert parse_anf("  x1 *x2+ 1 ", 2) == parse_anf("1 + x1*x2", 2)
+
+
+def test_whitespace_separates_tokens_but_never_splits_one():
+    assert parse_form("( x1 ) * d { 1 , 2 }", 2) == parse_form("(x1)*d{1,2}", 2)
+    assert parse_secant("(x1) * D 2", 2) == parse_secant("(x1)*D2", 2)
+    assert parse_table(" 2 : 8 ") == parse_table("2:8")
+    for bad in ("x 1", "x1*x 2", "x1 0"):
+        with pytest.raises(ParseError):
+            parse_anf(bad, 2)
+
+
+def test_numbers_are_ascii_digits():
+    for parse, src, where in (
+        (lambda s: parse_anf(s, 3), "x\u00b2", 0),
+        (lambda s: parse_anf(s, 3), "x\u0663", 0),
+        (lambda s: parse_form(s, 2), "(1)*d{\u00b2}", 6),
+        (lambda s: parse_secant(s, 2), "(1)*D" + "1" * 5000, 5),
+        (parse_table, "\u00b2:1", 0),
+        (parse_table, "1" * 5000 + ":0", 0),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert info.value.position == where
 
 
 def test_anf_parse_errors():
@@ -67,8 +86,8 @@ def test_anf_parse_errors():
 def test_form_roundtrip_golden():
     w = parse_form("(x2)*d{1} + (x1)*d{2}", 2)
     assert w == differential(parse_anf("x1*x2", 2))
-    assert format_form(w) == "(x2)*d{1} + (x1)*d{2}"
-    assert parse_form(format_form(w), 2) == w
+    assert str(w) == "(x2)*d{1} + (x1)*d{2}"
+    assert parse_form(str(w), 2) == w
 
 
 def test_form_roundtrip_random():
@@ -77,7 +96,7 @@ def test_form_roundtrip_random():
         n = rng.randrange(1, 5)
         k = rng.randrange(n + 1)
         w = random_form(rng, n, k)
-        assert parse_form(format_form(w), n, degree=w.degree) == w
+        assert parse_form(str(w), n, degree=w.degree) == w
 
 
 def test_form_zero_and_bare_anf():
@@ -120,11 +139,11 @@ def test_form_expected_degree():
 def test_table_roundtrip():
     t = parse_table("2:8")
     assert list(t) == [0, 0, 0, 1]
-    assert format_table(t) == "2:8"
+    assert str(t) == "2:8"
     assert list(parse_table("2:6")) == [0, 1, 1, 0]
     assert list(parse_table("1:2")) == [0, 1]
     t3 = TruthTable.from_values([0, 0, 0, 1, 0, 1, 1, 1])
-    assert parse_table(format_table(t3)) == t3
+    assert parse_table(str(t3)) == t3
     assert parse_table("3:e8") == t3  # hex is case-insensitive on input
 
 
@@ -149,8 +168,8 @@ def test_secant_roundtrip():
     phi = SecantElement(
         2, [ZhegalkinPoly.variable(2, 2), ZhegalkinPoly.variable(2, 1)]
     )
-    assert format_secant(phi) == "(x2)*D1 + (x1)*D2"
-    assert parse_secant(format_secant(phi), 2) == phi
+    assert str(phi) == "(x2)*D1 + (x1)*D2"
+    assert parse_secant(str(phi), 2) == phi
     assert parse_secant("0", 3) == SecantElement.zero(3)
     sparse = parse_secant("(x1)*D2", 2)
     assert sparse.coeffs[0] == ZhegalkinPoly.zero(2)
@@ -173,9 +192,9 @@ def test_format_is_deterministic():
     for _ in range(100):
         n = rng.randrange(1, 5)
         w = random_form(rng, n, rng.randrange(n + 1))
-        assert format_form(w) == format_form(w)
+        assert str(w) == str(w)
         p = random_poly(rng, n)
-        assert format_anf(p) == format_anf(p)
+        assert str(p) == str(p)
 
 
 def test_parsers_reject_non_text():
