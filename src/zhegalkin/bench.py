@@ -20,7 +20,6 @@ class TransformBenchReport:
     arity: int
     reps: int
     times: list = field(default_factory=list)  # seconds per forward+inverse pass
-    verified: bool = True
 
     @property
     def entries(self) -> int:
@@ -40,13 +39,12 @@ class TransformBenchReport:
         return 2 * self.entries / self.median_seconds
 
     def __str__(self):
-        status = "verified" if self.verified else "FAILED"
         return (
             f"n={self.arity} entries={self.entries} reps={self.reps} "
             f"min={self.min_seconds * 1e3:.2f}ms "
             f"median={self.median_seconds * 1e3:.2f}ms "
             f"throughput={self.entries_per_second / 1e6:.1f}Mentry/s "
-            f"round-trip={status}"
+            "round-trip=verified"
         )
 
 
@@ -74,6 +72,5 @@ def run_transform_benchmark(arity: int, reps: int = 5, seed=None) -> TransformBe
         ok = back == table
         report.times.append(time.perf_counter() - start)
         if not ok:
-            report.verified = False
             raise RuntimeError(f"round-trip verification failed at n={arity}")
     return report

@@ -10,6 +10,8 @@ a time via the Boolean partial derivative.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .anf import ZhegalkinPoly, _check_arity, indices_from_mask, mask_from_indices
 
 __all__ = ["KForm"]
@@ -19,7 +21,8 @@ class KForm:
     """A homogeneous degree-k form over the n-variable ANF ring.
 
     Degree-0 forms carry a single coefficient at the empty index set and
-    behave as plain polynomials (`as_poly`).  Immutable once built.
+    behave as plain polynomials (`as_poly`).  Immutable once built: the
+    coefficient map is a read-only view, and equal forms hash equal.
     """
 
     __slots__ = ("arity", "degree", "coeffs")
@@ -43,14 +46,14 @@ class KForm:
                 clean[key] = poly
         self.arity = arity
         self.degree = degree
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     @classmethod
     def _make(cls, arity, degree, coeffs) -> "KForm":
         w = object.__new__(cls)
         w.arity = arity
         w.degree = degree
-        w.coeffs = coeffs
+        w.coeffs = MappingProxyType(coeffs)
         return w
 
     @classmethod
@@ -148,7 +151,8 @@ class KForm:
             and self.coeffs == other.coeffs
         )
 
-    __hash__ = None  # mutable mapping inside
+    def __hash__(self):
+        return hash((self.arity, self.degree, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         return f"<KForm n={self.arity} k={self.degree}: {self}>"

@@ -197,23 +197,22 @@ def stokes_sweep(
 
 
 def _sweep_forms(arity, slots, exhaustive, count, seed):
+    # one packed coefficient vector per slot: the exhaustive sweep cuts each
+    # counter value into slot-wide fields, lowest field first
     width = 1 << arity
     if exhaustive:
-        total = 1 << (width * len(slots))
-        for packed in range(total):
-            coeffs = {}
-            for slot in slots:
-                bits = packed & ((1 << width) - 1)
-                packed >>= width
-                if bits:
-                    coeffs[slot] = ZhegalkinPoly.from_coeff_bits(arity, bits)
-            yield KForm(arity, arity - 1, coeffs)
-        return
-    rng = random.Random(seed)
-    for _ in range(count):
-        coeffs = {}
-        for slot in slots:
-            bits = rng.getrandbits(width)
-            if bits:
-                coeffs[slot] = ZhegalkinPoly.from_coeff_bits(arity, bits)
+        ones = (1 << width) - 1
+        draws = (
+            [(packed >> (width * s)) & ones for s in range(len(slots))]
+            for packed in range(1 << (width * len(slots)))
+        )
+    else:
+        rng = random.Random(seed)
+        draws = ([rng.getrandbits(width) for _ in slots] for _ in range(count))
+    for slot_bits in draws:
+        coeffs = {
+            slot: ZhegalkinPoly.from_coeff_bits(arity, bits)
+            for slot, bits in zip(slots, slot_bits)
+            if bits
+        }
         yield KForm(arity, arity - 1, coeffs)

@@ -6,9 +6,27 @@ reference transform walks plain lists, and expressions are evaluated
 directly on the tree.
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
+import zhegalkin
 from zhegalkin import And, Const, KForm, Not, Or, Var, Xor, ZhegalkinPoly
+
+
+def run_module(*argv):
+    """Run `python -m zhegalkin *argv` on the package these tests import,
+    whether it is installed or only on the test run's import path."""
+    src = str(Path(zhegalkin.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "zhegalkin", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def all_polys(n):

@@ -293,6 +293,15 @@ def test_mobius_validation():
         mobius_transform(1 << 4, 2)
 
 
+def test_packed_values_reject_bools():
+    with pytest.raises(ValueError):
+        mobius_transform(True, 1)
+    with pytest.raises(ValueError):
+        ZhegalkinPoly.from_coeff_bits(1, True)
+    with pytest.raises(ValueError):
+        TruthTable(1, True)
+
+
 def test_truth_table_validation():
     with pytest.raises(ValueError):
         TruthTable(0, 0)

@@ -1,9 +1,10 @@
 import io
-import subprocess
 import sys
 
 from zhegalkin import parse_anf, parse_form, parse_table
 from zhegalkin.cli import main
+
+from helpers import run_module
 
 
 def run_cli(capsys, *argv):
@@ -178,11 +179,7 @@ def test_outputs_reparse(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "zhegalkin", "anf", "--n", "2", "x1 | x2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("anf", "--n", "2", "x1 | x2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1 + x2 + x1*x2"
 

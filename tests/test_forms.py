@@ -248,6 +248,18 @@ def test_form_equality_ignores_insertion_order():
     assert a == b and str(a) == str(b)
 
 
+def test_forms_are_immutable_and_hashable():
+    one = ZhegalkinPoly.one(2)
+    x1 = ZhegalkinPoly.variable(2, 1)
+    a = KForm(2, 1, {0b01: one, 0b10: x1})
+    b = KForm(2, 1, {0b10: x1}) + KForm(2, 1, {0b01: one})
+    for w in (a, b, a.d(), a.wedge(b)):
+        with pytest.raises(TypeError):
+            w.coeffs[0b01] = x1
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, KForm.zero(2, 1)}) == 2
+
+
 def test_all_one_forms_at_n2_count():
     # the degree-1 coefficient space at n=2 has (2^4)^2 = 256 elements
     seen = set()
