@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and on a passing identity check), 1 when a
-check fails, 2 on usage or parse errors.  A positional input of "-"
-reads from standard input.
+check fails, 2 on usage or parse errors and when memory runs out, 130 on
+an interrupt.  A positional input of "-" reads from standard input.
 """
 
 from __future__ import annotations
@@ -226,6 +226,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -1,14 +1,15 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they are used to
-check: truth tables are rebuilt by pointwise `evaluate` calls, the
-reference transform walks plain lists, and expressions are evaluated
-directly on the tree.
+check: truth tables are rebuilt by pointwise `evaluate` calls, products
+by counting term pairs, the reference transform walks plain lists, and
+expressions are evaluated directly on the tree.
 """
 
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -59,6 +60,13 @@ def random_form(rng, n, k):
 def brute_table(poly):
     """Truth table by pointwise evaluation (no butterfly involved)."""
     return [poly.evaluate(v) for v in range(1 << poly.arity)]
+
+
+def schoolbook_product(p, q):
+    """Term set of p*q: OR every pair of monomials, keep those hit an odd
+    number of times (no butterfly involved)."""
+    hits = Counter(a | b for a in p.terms for b in q.terms)
+    return frozenset(m for m, count in hits.items() if count % 2)
 
 
 def slow_mobius(values):

@@ -226,3 +226,25 @@ def test_criterion_8_conversion_performance():
         ok and median < 1.0,
         f"median {median * 1e3:.0f} ms",
     )
+
+
+def test_criterion_9_dense_product_performance():
+    rng = random.Random(9)
+    times = []
+    ok = True
+    for _ in range(3):
+        p = ZhegalkinPoly.from_coeff_bits(12, rng.getrandbits(1 << 12))
+        q = ZhegalkinPoly.from_coeff_bits(12, rng.getrandbits(1 << 12))
+        start = time.perf_counter()
+        product = p * q
+        times.append(time.perf_counter() - start)
+        for _ in range(64):
+            v = rng.getrandbits(12)
+            ok &= product.evaluate(v) == p.evaluate(v) & q.evaluate(v)
+    median = statistics.median(times)
+    _report(
+        9,
+        "product of two uniform n=12 polynomials under 50 ms median",
+        ok and median < 0.05,
+        f"median {median * 1e3:.1f} ms",
+    )

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,15 +13,20 @@ from zhegalkin import (
     mobius_transform,
     vertex_mask,
 )
+from zhegalkin.anf import _DENSE_PRODUCT_OVERHEAD
 
-from helpers import all_polys, brute_table, random_poly, slow_mobius
+from helpers import all_polys, brute_table, random_poly, schoolbook_product, slow_mobius
 
 
 @st.composite
 def same_arity_polys(draw, count=2, max_arity=12):
     n = draw(st.integers(min_value=1, max_value=max_arity))
     masks = st.frozensets(st.integers(0, (1 << n) - 1), max_size=10)
-    return tuple(ZhegalkinPoly(n, draw(masks)) for _ in range(count))
+    polys = masks.map(lambda ms: ZhegalkinPoly(n, ms))
+    if n <= 10:  # dense draws reach the butterfly route of `*`
+        bits = st.integers(0, (1 << (1 << n)) - 1)
+        polys |= bits.map(lambda b: ZhegalkinPoly.from_coeff_bits(n, b))
+    return tuple(draw(polys) for _ in range(count))
 
 
 def test_constant():
@@ -78,6 +84,45 @@ def test_mul():
     assert (x1 + x2) * (x1 + x2) == x1 + x2
     with pytest.raises(ValueError):
         x1 * ZhegalkinPoly.variable(3, 1)
+
+
+def _threshold_factors(n):
+    """a <= b with a*b equal to the term-pair threshold of the dense route."""
+    threshold = (1 << n) + _DENSE_PRODUCT_OVERHEAD
+    a = max(d for d in range(1, isqrt(threshold) + 1) if threshold % d == 0)
+    return a, threshold // a
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_product_routes_match_schoolbook(n):
+    rng = random.Random(1000 + n)
+    width = 1 << n
+
+    def terms(count):
+        return ZhegalkinPoly(n, rng.sample(range(width), count))
+
+    def dense():
+        return ZhegalkinPoly.from_coeff_bits(n, rng.getrandbits(width))
+
+    a, b = _threshold_factors(n)
+    assert b + 1 <= width
+    cases = [(terms(a), terms(b + delta)) for delta in (-1, 0, 1) for _ in range(3)]
+    zero, one, full = (
+        ZhegalkinPoly.zero(n),
+        ZhegalkinPoly.one(n),
+        ZhegalkinPoly(n, range(width)),
+    )
+    p = dense()
+    cases.append((p, dense()))
+    if n <= 10:  # keeps the oracle's 2^(2n) pairs cheap
+        cases += [(full, p), (full, full)]
+    cases += [(zero, p), (p, zero), (one, p), (p, one), (one, one)]
+    for p, q in cases:
+        product = p * q
+        assert product.terms == schoolbook_product(p, q)
+        for _ in range(16):
+            v = rng.getrandbits(n)
+            assert product.evaluate(v) == p.evaluate(v) & q.evaluate(v)
 
 
 def test_evaluate():
@@ -326,6 +371,9 @@ def test_mask_helpers():
     assert mask_from_indices([1, 3], 3) == 0b101
     assert indices_from_mask(0b101) == [1, 3]
     assert indices_from_mask(0) == []
+    for bad in (-6, -1, True, 1.0):
+        with pytest.raises(ValueError):
+            indices_from_mask(bad)
     with pytest.raises(ValueError):
         mask_from_indices([4], 3)
     with pytest.raises(ValueError):

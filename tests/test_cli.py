@@ -1,7 +1,9 @@
 import io
 import sys
 
-from zhegalkin import parse_anf, parse_form, parse_table
+import pytest
+
+from zhegalkin import cli, parse_anf, parse_form, parse_table
 from zhegalkin.cli import main
 
 from helpers import run_module
@@ -161,6 +163,18 @@ def test_bench_range(capsys):
     assert code == 2
     code, out, _ = run_cli(capsys, "bench", "--n", "10", "--reps", "2")
     assert code == 0 and "round-trip=verified" in out and "median=" in out
+
+
+@pytest.mark.parametrize(
+    "exc,code,message",
+    [(MemoryError, 2, "error: out of memory"), (KeyboardInterrupt, 130, "interrupted")],
+)
+def test_fatal_exceptions_exit_without_traceback(capsys, monkeypatch, exc, code, message):
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_anf", handler)
+    assert run_cli(capsys, "anf", "--n", "2", "x1") == (code, "", message)
 
 
 def test_stdin_input(capsys, monkeypatch):
