@@ -17,7 +17,6 @@ from .integration import (
     Face,
     StokesReport,
     SweepSummary,
-    face_vertices,
     integrate_boundary,
     integrate_face,
     integrate_top,
@@ -49,7 +48,6 @@ __all__ = [
     "ZhegalkinPoly",
     "differential",
     "expr_to_anf",
-    "face_vertices",
     "indices_from_mask",
     "integrate_boundary",
     "integrate_face",

@@ -329,7 +329,7 @@ class ZhegalkinPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = [f"x{i}" for i in range(1, self.arity + 1)]
+        names = [f"x{i}" for i in range(1, max(self.terms).bit_length() + 1)]
         ordered = sorted(self.terms, key=lambda m: (m.bit_count(), m))
         return " + ".join(
             "*".join([names[i] for i in _positions(m)]) or "1" for m in ordered

@@ -29,11 +29,11 @@ class KForm:
 
     def __init__(self, arity: int, degree: int, coeffs=None):
         _check_arity(arity)
-        if not isinstance(degree, int) or not 0 <= degree <= arity:
+        if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= arity:
             raise ValueError(f"degree {degree!r} out of range 0..{arity}")
         clean = {}
         for key, poly in (coeffs or {}).items():
-            if not isinstance(key, int) or key < 0 or key >> arity:
+            if not isinstance(key, int) or isinstance(key, bool) or key < 0 or key >> arity:
                 raise ValueError(f"index-set mask {key!r} does not fit {arity} bits")
             if key.bit_count() != degree:
                 raise ValueError(

@@ -9,11 +9,13 @@ Conventions, fixed here and relied on by the checker:
 
 * A top-degree form f*d{1..n} integrates over the whole cube to f at the
   all-ones vertex (equivalently, the XOR over all vertices of x_1..x_n*f).
-* A term g*d{I} of an (n-1)-form contributes to a face only along its one
-  missing axis k, where it contributes g evaluated at the vertex with
-  every coordinate 1 except coordinate k at the face's level.  At n=1 the
-  term is a bare polynomial and the face is a single vertex; the empty
-  index monomial is 1, so the integral is plain evaluation there.
+* An (n-1)-form has at most one coefficient per axis k, the g at the
+  index-set mask I = all-ones ^ bit k, and only that term reaches the two
+  faces of axis k.  On face (k, 1) it integrates to g(all-ones); on face
+  (k, 0) to g at the vertex with every coordinate 1 but the k-th, which
+  is the mask I itself.  So the boundary integral is the XOR over the
+  terms of g(all-ones) ^ g(I).  At n=1 the term is a bare polynomial at
+  I = 0 and each face is a single vertex: plain evaluation.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "Face",
     "StokesReport",
     "SweepSummary",
-    "face_vertices",
     "integrate_boundary",
     "integrate_face",
     "integrate_top",
@@ -53,24 +54,6 @@ def _check_face(arity: int, face) -> Face:
     return face
 
 
-def face_vertices(arity: int, face) -> list[int]:
-    """The 2^(arity-1) vertex masks on a face, in ascending order."""
-    _check_arity(arity)
-    face = _check_face(arity, face)
-    shift = face.axis - 1
-    low_mask = (1 << shift) - 1
-    pinned = face.level << shift
-    out = []
-    for m in range(1 << (arity - 1)):
-        out.append(((m & ~low_mask) << 1) | pinned | (m & low_mask))
-    return out
-
-
-def _missing_axis(arity: int, key: int) -> int:
-    # key has arity-1 bits set; the one clear bit names the missing axis
-    return (key ^ ((1 << arity) - 1)).bit_length()
-
-
 def integrate_top(w: KForm) -> int:
     """Integral of an n-form over the whole cube: its coefficient at the
     all-ones vertex."""
@@ -89,14 +72,9 @@ def integrate_face(w: KForm, face) -> int:
         raise ValueError(f"face integral needs degree {n - 1}, got {w.degree}")
     face = _check_face(n, face)
     full = (1 << n) - 1
-    total = 0
-    for key, poly in w.coeffs.items():
-        k = _missing_axis(n, key)
-        if k != face.axis:
-            continue
-        vertex = full if face.level else full & ~(1 << (k - 1))
-        total ^= poly.evaluate(vertex)
-    return total
+    key = full ^ (1 << (face.axis - 1))
+    poly = w.coeffs.get(key)
+    return 0 if poly is None else poly.evaluate(full if face.level else key)
 
 
 def integrate_boundary(w: KForm) -> int:
@@ -104,10 +82,10 @@ def integrate_boundary(w: KForm) -> int:
     n = w.arity
     if w.degree != n - 1:
         raise ValueError(f"boundary integral needs degree {n - 1}, got {w.degree}")
+    full = (1 << n) - 1
     total = 0
-    for axis in range(1, n + 1):
-        for level in (0, 1):
-            total ^= integrate_face(w, Face(axis, level))
+    for key, poly in w.coeffs.items():
+        total ^= poly.evaluate(full) ^ poly.evaluate(key)
     return total
 
 

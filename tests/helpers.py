@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check: truth tables are rebuilt by pointwise `evaluate` calls, products
-by counting term pairs, the reference transform walks plain lists, and
-expressions are evaluated directly on the tree.
+by counting term pairs, face integrals by summing over the face's
+vertices, the reference transform walks plain lists, and expressions are
+evaluated directly on the tree.
 """
 
 import os
@@ -55,6 +56,25 @@ def random_form(rng, n, k):
             if poly:
                 coeffs[mask] = poly
     return KForm(n, k, coeffs)
+
+
+def face_sum(w, axis, level):
+    """Integral of an (n-1)-form over the face x_axis = level, summed over
+    the face's vertices: each term g*d{I} whose index set omits `axis`
+    contributes [I subset of v]*g(v) at every vertex v of the face, the
+    same weighted vertex sum as the whole-cube top integral; terms with
+    `axis` in I vanish on the face."""
+    n = w.arity
+    bit = 1 << (axis - 1)
+    face = [v for v in range(1 << n) if (v & bit) == level * bit]
+    total = 0
+    for key, g in w.coeffs.items():
+        if key & bit:
+            continue
+        for v in face:
+            if key & v == key:
+                total ^= g.evaluate(v)
+    return total
 
 
 def brute_table(poly):

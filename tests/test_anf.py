@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from math import isqrt
 
@@ -384,6 +385,18 @@ def test_str_canonical_order():
     p = ZhegalkinPoly(3, [0b100, 0b011, 0])  # 1, x3, x1*x2
     assert str(p) == "1 + x3 + x1*x2"
     assert str(ZhegalkinPoly.zero(4)) == "0"
+
+
+def test_str_cost_follows_highest_variable_not_arity():
+    p = ZhegalkinPoly.variable(10**6, 1)
+    tracemalloc.start()
+    try:
+        text = str(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "x1"
+    assert peak < 1 << 20
 
 
 def test_poly_hash_and_equality():

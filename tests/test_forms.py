@@ -21,6 +21,10 @@ def test_construction_validation():
         KForm(2, 1, {0b100: one})  # index outside arity
     with pytest.raises(ValueError):
         KForm(2, 1, {0b01: ZhegalkinPoly.one(3)})  # coefficient arity mismatch
+    with pytest.raises(ValueError):
+        KForm(2, True, {})  # bool degree
+    with pytest.raises(ValueError):
+        KForm(2, 1, {True: ZhegalkinPoly.variable(2, 2)})  # bool index-set key
 
 
 def test_zero_coefficients_are_dropped():

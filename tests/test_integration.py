@@ -8,7 +8,6 @@ from zhegalkin import (
     StokesReport,
     SweepSummary,
     ZhegalkinPoly,
-    face_vertices,
     integrate_boundary,
     integrate_face,
     integrate_top,
@@ -16,37 +15,7 @@ from zhegalkin import (
     stokes_sweep,
 )
 
-from helpers import all_polys, masks_of_size, random_form, random_poly
-
-
-def test_face_vertices_examples():
-    assert face_vertices(2, Face(1, 0)) == [0b00, 0b10]
-    assert face_vertices(2, Face(2, 1)) == [0b10, 0b11]
-    assert face_vertices(1, Face(1, 1)) == [1]
-
-
-def test_face_vertices_validation():
-    with pytest.raises(ValueError):
-        face_vertices(2, Face(3, 0))
-    with pytest.raises(ValueError):
-        face_vertices(2, Face(0, 0))
-    with pytest.raises(ValueError):
-        face_vertices(2, Face(1, 2))
-
-
-def test_faces_cover_cube():
-    # per axis the two faces partition the cube; overall each vertex lies
-    # on exactly n faces
-    for n in (1, 2, 3, 4):
-        hits = {v: 0 for v in range(1 << n)}
-        for axis in range(1, n + 1):
-            lo = face_vertices(n, Face(axis, 0))
-            hi = face_vertices(n, Face(axis, 1))
-            assert len(lo) == len(hi) == 1 << (n - 1)
-            assert sorted(lo + hi) == list(range(1 << n))
-            for v in lo + hi:
-                hits[v] += 1
-        assert all(count == n for count in hits.values())
+from helpers import all_polys, face_sum, masks_of_size, random_form, random_poly
 
 
 def test_integrate_top_examples():
@@ -84,6 +53,24 @@ def test_integrate_face_examples():
         integrate_face(KForm.term(f, [1, 2, 3]), Face(1, 0))
     with pytest.raises(ValueError):
         integrate_face(w, Face(4, 0))
+    for bad in (Face(0, 0), Face(3, 0), Face(1, 2)):
+        with pytest.raises(ValueError):
+            integrate_face(v, bad)
+
+
+def test_face_and_boundary_integrals_match_face_sum():
+    # every 1-form at n=2, then 300 random (n-1)-forms at each n=1..5
+    rng = random.Random(107)
+    forms = [KForm(2, 1, {0b01: f, 0b10: g}) for f in all_polys(2) for g in all_polys(2)]
+    forms += [random_form(rng, n, n - 1) for n in range(1, 6) for _ in range(300)]
+    for w in forms:
+        boundary = 0
+        for axis in range(1, w.arity + 1):
+            for level in (0, 1):
+                expected = face_sum(w, axis, level)
+                assert integrate_face(w, Face(axis, level)) == expected
+                boundary ^= expected
+        assert integrate_boundary(w) == boundary
 
 
 def test_integrate_boundary_examples():
