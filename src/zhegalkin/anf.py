@@ -330,10 +330,17 @@ class ZhegalkinPoly:
         if not self.terms:
             return "0"
         names = [f"x{i}" for i in range(1, max(self.terms).bit_length() + 1)]
-        ordered = sorted(self.terms, key=lambda m: (m.bit_count(), m))
-        return " + ".join(
-            "*".join([names[i] for i in _positions(m)]) or "1" for m in ordered
-        )
+        parts = []
+        # by degree, then by mask; each term peels its lowest set bit
+        # (m & -m) per factor, so it costs its factors, not its width
+        for m in sorted(sorted(self.terms), key=int.bit_count):
+            factors = []
+            while m:
+                low = m & -m
+                factors.append(names[low.bit_length() - 1])
+                m ^= low
+            parts.append("*".join(factors) or "1")
+        return " + ".join(parts)
 
 
 class TruthTable:

@@ -11,8 +11,10 @@ Grammar (binary operators left-associative, loosest first):
 
 The words and/or/xor/not are aliases for &, |, ^, !.  Whitespace between
 tokens is insignificant; DIGITS are ASCII.  The lexer here also reads the
-canonical formats of `textio`.  Translation uses the Boolean-ring
-identities: a&b is a*b, a|b is a+b+a*b, !a is 1+a, and ^ is ring addition.
+canonical formats of `textio`, where a whole monomial such as "x1*x3" is
+one token; in an expression its "*" is an unexpected character, as any
+other.  Translation uses the Boolean-ring identities: a&b is a*b, a|b is
+a+b+a*b, !a is 1+a, and ^ is ring addition.
 """
 
 from __future__ import annotations
@@ -89,16 +91,21 @@ _BINARY = (And, Or, Xor)
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
 _OPERATORS = frozenset("&|^!()") | {"end"}
 
-# The one lexer for every text format: variables x<digits>, ASCII words,
-# ASCII numbers, and any other non-space character on its own.  finditer
-# skips the whitespace between tokens; a token is never split by it.
-_TOKEN_RE = re.compile(r"(?P<var>x[0-9]+)|(?P<name>[A-Za-z]+)|(?P<num>[0-9]+)|\S")
+# The one lexer for every text format: monomials x<i>*x<j>*..., ASCII
+# words, ASCII numbers, and any other non-space character on its own.
+# finditer skips the whitespace between tokens; a token is never split by
+# it.  A whole monomial is one "var" token, so ANF text costs one token per
+# term; whitespace around its "*" stays insignificant.
+_TOKEN_RE = re.compile(
+    r"(?P<var>x[0-9]+(?:\s*\*\s*x[0-9]+)*)|(?P<name>[A-Za-z]+)|(?P<num>[0-9]+)|\S"
+)
 
 
 def _lex(source: str) -> list[tuple[str, str, int]]:
     """(kind, text, pos) tokens ending in ("end", "", len(source)).
 
-    The kind is var, name or num, or the punctuation character itself.
+    The kind is var (one monomial: x<i> factors joined by "*"), name or
+    num, or the punctuation character itself.
     """
     if not isinstance(source, str):
         raise ParseError("input must be text", 0)
@@ -123,9 +130,12 @@ class _Parser:
         for kind, text, pos in _lex(source):
             value = 0
             if kind == "var":
-                value = _number(text[1:], pos)
+                head = text.split("*", 1)[0].rstrip()
+                value = _number(head[1:], pos)
                 if value < 1:
                     raise ParseError("variable index must be at least 1", pos)
+                if head != text:  # a monomial; expressions spell AND as "&"
+                    raise ParseError("unexpected character '*'", pos + text.index("*"))
             elif kind == "num":
                 if text not in ("0", "1"):
                     raise ParseError(f"constants are 0 and 1, got {text!r}", pos)

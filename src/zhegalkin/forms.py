@@ -128,18 +128,31 @@ class KForm:
     def d(self) -> "KForm":
         """Exterior derivative: adjoin each absent index with the matching
         Boolean partial of the coefficient.  A top-degree form maps to the
-        canonical zero form (degree stays capped at n)."""
+        canonical zero form (degree stays capped at n).
+
+        Costs per term, not per arity: each term m of the coefficient at
+        `key` sends m ^ bit to `key | bit` for every set bit of m & ~key,
+        so only the variables a term holds are visited.  Within one
+        coefficient m -> m ^ bit is injective, so nothing cancels there;
+        coefficients of different keys meet in `_accumulate`.
+        """
         n = self.arity
         out_degree = min(self.degree + 1, n)
         acc = {}
         for key, poly in self.coeffs.items():
-            for i in range(1, n + 1):
-                bit = 1 << (i - 1)
-                if key & bit:
-                    continue
-                df = poly.partial(i)
-                if df.terms:
-                    _accumulate(acc, key | bit, df)
+            partials = {}
+            outside = ~key
+            for m in poly.terms:
+                free = m & outside
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    if bit in partials:
+                        partials[bit].append(m ^ bit)
+                    else:
+                        partials[bit] = [m ^ bit]
+            for bit, terms in partials.items():
+                _accumulate(acc, key | bit, ZhegalkinPoly._make(n, frozenset(terms)))
         return KForm._make(n, out_degree, acc)
 
     def __eq__(self, other):

@@ -83,12 +83,7 @@ class SecantElement:
 
 def differential(f: ZhegalkinPoly) -> KForm:
     """The 1-form whose coefficient at {i} is the partial of f in x_i."""
-    coeffs = {}
-    for i in range(1, f.arity + 1):
-        df = f.partial(i)
-        if df.terms:
-            coeffs[1 << (i - 1)] = df
-    return KForm(f.arity, 1, coeffs)
+    return KForm.from_poly(f).d()
 
 
 def pair(omega: KForm, phi: SecantElement) -> ZhegalkinPoly:

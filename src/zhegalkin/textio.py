@@ -11,6 +11,8 @@ Formatting is `str()` on the value.  Parsing reads the tokens of the lexer
 in `exprs`, so whitespace between tokens is insignificant and numbers are
 ASCII digits; otherwise it sticks to the canonical shapes (indices must
 ascend, repeated terms or index sets are rejected rather than folded).
+A monomial such as "x1 * x3" is one token, whose factors are read from
+its digit runs in one loop, so ANF text costs one token per term.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ __all__ = [
     "parse_table",
 ]
 
+# the factor indices inside one monomial token
+_DIGITS = re.compile("[0-9]+")
+
 # "n:HEX"; the CLI takes any text this matches a prefix of for a table
 _TABLE_TEXT = re.compile(r"\s*([0-9]+)\s*:\s*([0-9a-fA-F]*)\s*")
 
@@ -47,29 +52,44 @@ def _expect(tokens, i: int, kind: str) -> int:
     return i + 1
 
 
+def _factor_at(text: str, pos: int, k: int) -> int:
+    """Source position of factor k of the monomial token `text` at `pos`."""
+    at = -1
+    for _ in range(k + 1):
+        at = text.index("x", at + 1)
+    return pos + at
+
+
 def _read_term(tokens, i: int, arity: int) -> tuple[int, int]:
     """Monomial mask of the term at tokens[i], and the index after it."""
-    if tokens[i][1] == "1":
+    kind, text, pos = tokens[i]
+    if text == "1":
         return 0, i + 1
+    if kind != "var":
+        raise ParseError("expected 'x'", pos)
     mask = 0
     last = 0
-    while True:
-        kind, text, pos = tokens[i]
-        if kind != "var":
-            raise ParseError("expected 'x'", pos)
-        index = _number(text[1:], pos)
+    for k, digits in enumerate(_DIGITS.findall(text)):
+        try:
+            index = int(digits)
+        except ValueError:  # beyond the interpreter's int/str digit limit
+            index = _number(digits, _factor_at(text, pos, k))
+        if last < index <= arity:
+            mask |= 1 << (index - 1)
+            last = index
+            continue
         if index < 1:
-            raise ParseError("variable index must be at least 1", pos)
-        if index > arity:
-            raise ParseError(f"variable x{index} exceeds arity {arity}", pos)
-        if index <= last:
-            raise ParseError("variable indices must ascend within a term", pos)
-        mask |= 1 << (index - 1)
-        last = index
-        i += 1
-        if tokens[i][0] != "*":
-            return mask, i
-        i += 1
+            message = "variable index must be at least 1"
+        elif index > arity:
+            message = f"variable x{index} exceeds arity {arity}"
+        else:
+            message = "variable indices must ascend within a term"
+        raise ParseError(message, _factor_at(text, pos, k))
+    # the lexer folds every "*x<j>" into the token, so a "*" after it has
+    # no factor behind it
+    if tokens[i + 1][0] == "*":
+        raise ParseError("expected 'x'", tokens[i + 2][2])
+    return mask, i + 1
 
 
 def _read_anf(tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int]:
@@ -88,7 +108,8 @@ def _read_anf(tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int
         terms.add(mask)
         kind = tokens[i][0]
         if kind == stop or kind == "end":
-            return ZhegalkinPoly(arity, terms), i
+            # every mask was range-checked and none repeats: already canonical
+            return ZhegalkinPoly._make(arity, frozenset(terms)), i
         i = _expect(tokens, i, "+")
 
 

@@ -3,11 +3,13 @@
 The oracles here deliberately avoid the code paths they are used to
 check: truth tables are rebuilt by pointwise `evaluate` calls, products
 by counting term pairs, face integrals by summing over the face's
-vertices, the reference transform walks plain lists, and expressions are
-evaluated directly on the tree.
+vertices, exterior derivatives by cofactor sums, the reference transform
+walks plain lists, ANF text is read by a reader with its own lexer, and
+expressions are evaluated directly on the tree.
 """
 
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +17,7 @@ from itertools import combinations
 from pathlib import Path
 
 import zhegalkin
-from zhegalkin import And, Const, KForm, Not, Or, Var, Xor, ZhegalkinPoly
+from zhegalkin import And, Const, KForm, Not, Or, ParseError, Var, Xor, ZhegalkinPoly
 
 
 def run_module(*argv):
@@ -75,6 +77,86 @@ def face_sum(w, axis, level):
             if key & v == key:
                 total ^= g.evaluate(v)
     return total
+
+
+def d_by_cofactors(w):
+    """Exterior derivative from the definition: for each key and each index
+    i outside it, the partial restrict(i, 0) + restrict(i, 1) of the
+    coefficient is added at key | {i} (no bit walk involved)."""
+    n = w.arity
+    out = {}
+    for key, g in w.coeffs.items():
+        for i in range(1, n + 1):
+            bit = 1 << (i - 1)
+            if key & bit:
+                continue
+            partial = g.restrict(i, 0) + g.restrict(i, 1)
+            prev = out.get(key | bit)
+            out[key | bit] = partial if prev is None else prev + partial
+    return KForm(n, min(w.degree + 1, n), out)
+
+
+# one token per x<i> factor and per "*", unlike the library's lexer
+_FACTOR_TOKEN = re.compile(r"(?P<var>x[0-9]+)|(?P<name>[A-Za-z]+)|(?P<num>[0-9]+)|\S")
+
+
+def reference_parse_anf(source, arity):
+    """Canonical ANF text read one factor token at a time: the same
+    polynomial as `parse_anf`, or a ParseError with the same message and
+    position."""
+    if not isinstance(source, str):
+        raise ParseError("input must be text", 0)
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _FACTOR_TOKEN.finditer(source)]
+    tokens.append(("end", "", len(source)))
+    if len(tokens) == 1:
+        raise ParseError("empty input", len(source))
+
+    def number(digits, pos):
+        try:
+            return int(digits)
+        except ValueError:
+            raise ParseError(f"number too long ({len(digits)} digits)", pos) from None
+
+    if tokens[0][1] == "0":
+        kind, _, pos = tokens[1]
+        if kind != "end":
+            raise ParseError('"0" must stand alone', pos)
+        return ZhegalkinPoly.zero(arity)
+    terms = set()
+    i = 0
+    while True:
+        at = tokens[i][2]
+        mask = 0
+        if tokens[i][1] == "1":
+            i += 1
+        else:
+            last = 0
+            while True:
+                kind, text, pos = tokens[i]
+                if kind != "var":
+                    raise ParseError("expected 'x'", pos)
+                index = number(text[1:], pos)
+                if index < 1:
+                    raise ParseError("variable index must be at least 1", pos)
+                if index > arity:
+                    raise ParseError(f"variable x{index} exceeds arity {arity}", pos)
+                if index <= last:
+                    raise ParseError("variable indices must ascend within a term", pos)
+                mask |= 1 << (index - 1)
+                last = index
+                i += 1
+                if tokens[i][0] != "*":
+                    break
+                i += 1
+        if mask in terms:
+            raise ParseError("duplicate term", at)
+        terms.add(mask)
+        kind, _, pos = tokens[i]
+        if kind == "end":
+            return ZhegalkinPoly(arity, terms)
+        if kind != "+":
+            raise ParseError("expected '+'", pos)
+        i += 1
 
 
 def brute_table(poly):

@@ -71,6 +71,10 @@ def test_parse_double_negation():
         ("x1 $ x2", 3),
         ("foo", 0),
         ("x1 AND x2", 3),
+        ("x1*x2", 2),
+        ("x0*x1", 0),
+        ("x1 *x0", 3),
+        ("x1*", 2),
     ],
 )
 def test_parse_errors_have_positions(src, where):

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
 
 from zhegalkin import KForm, ZhegalkinPoly, differential
 
-from helpers import masks_of_size, random_form, random_poly
+from helpers import d_by_cofactors, masks_of_size, random_form, random_poly
 
 
 def test_construction_validation():
@@ -164,7 +165,58 @@ def test_d_on_zero_form_matches_differential():
     for _ in range(200):
         n = rng.randrange(1, 6)
         f = random_poly(rng, n)
-        assert KForm.from_poly(f).d() == differential(f)
+        assert differential(f) == d_by_cofactors(KForm.from_poly(f))
+
+
+def test_d_matches_cofactor_oracle_random():
+    rng = random.Random(701)
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for _ in range(30):
+                w = random_form(rng, n, k)
+                assert w.d() == d_by_cofactors(w)
+
+
+def test_d_matches_cofactor_oracle_sparse_high_arity():
+    rng = random.Random(709)
+    for n in (20, 40):
+        for _ in range(40):
+            keys = rng.sample(range(n), rng.randrange(1, 6))
+            w = KForm(n, 1, {1 << i: random_poly(rng, n, max_terms=8) for i in keys})
+            assert w.d() == d_by_cofactors(w)
+
+
+def test_d_matches_cofactor_oracle_on_every_basis_form():
+    # both sides are F2-linear (see the additivity test), so agreeing on
+    # every x^m d{I} means agreeing on every form
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for key in masks_of_size(n, k):
+                for m in range(1 << n):
+                    w = KForm(n, k, {key: ZhegalkinPoly(n, [m])})
+                    assert w.d() == d_by_cofactors(w)
+
+
+def test_d_is_additive():
+    rng = random.Random(719)
+    for n in range(1, 7):
+        for _ in range(40):
+            k = rng.randrange(n + 1)
+            a, b = random_form(rng, n, k), random_form(rng, n, k)
+            assert (a + b).d() == a.d() + b.d()
+            assert d_by_cofactors(a + b) == d_by_cofactors(a) + d_by_cofactors(b)
+
+
+def test_d_cost_follows_terms_not_arity():
+    n = 10**7
+    start = time.perf_counter()
+    w = KForm.term(ZhegalkinPoly(n, [0b101]), [2])  # (x1*x3)*d{2}
+    dw = w.d()
+    df = differential(ZhegalkinPoly(n, [0b11, 1 << 6]))  # x1*x2 + x7
+    elapsed = time.perf_counter() - start
+    assert str(dw) == "(x3)*d{1,2} + (x1)*d{2,3}"
+    assert str(df) == "(x2)*d{1} + (x1)*d{2} + (1)*d{7}"
+    assert elapsed < 1.0
 
 
 def test_d_squared_is_zero_random():

@@ -14,7 +14,7 @@ from zhegalkin import (
     parse_table,
 )
 
-from helpers import random_form, random_poly
+from helpers import random_form, random_poly, reference_parse_anf
 
 
 def test_anf_roundtrip_examples():
@@ -60,6 +60,46 @@ def test_numbers_are_ascii_digits():
         with pytest.raises(ParseError) as info:
             parse(src)
         assert info.value.position == where
+
+
+def _outcome(parse, src, n):
+    try:
+        return parse(src, n)
+    except ParseError as err:
+        return (str(err), err.position)
+
+
+def test_parse_anf_matches_reference_reader_fuzz():
+    # same polynomial, or the same message at the same position, as a
+    # reader that walks one token per factor
+    rng = random.Random(137)
+    alphabet = "x0123456789*+ 1()dD{},"
+
+    def mutate(text):
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(chars) + 1)
+            edit = rng.randrange(3)
+            if edit == 0 or at == len(chars):
+                chars.insert(at, rng.choice(alphabet))
+            elif edit == 1:
+                del chars[at]
+            else:
+                chars[at] = rng.choice(alphabet)
+        return "".join(chars)
+
+    cases = [
+        ("".join(rng.choice(alphabet) for _ in range(rng.randrange(24))), rng.randrange(1, 7))
+        for _ in range(4000)
+    ]
+    for _ in range(4000):
+        n = rng.randrange(1, 7)
+        if rng.random() < 0.75:
+            cases.append((mutate(str(random_poly(rng, n))), n))
+        else:
+            cases.append((mutate(str(random_form(rng, n, rng.randrange(n + 1)))), n))
+    for src, n in cases:
+        assert _outcome(parse_anf, src, n) == _outcome(reference_parse_anf, src, n), src
 
 
 def test_anf_parse_errors():
