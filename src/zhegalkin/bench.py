@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import random
-import statistics
 import time
-from dataclasses import dataclass, field
 
 from .anf import MAX_DENSE_ARITY, mobius_transform
 
@@ -15,11 +13,21 @@ BENCH_MIN_ARITY = 10
 BENCH_MAX_ARITY = MAX_DENSE_ARITY
 
 
-@dataclass
 class TransformBenchReport:
-    arity: int
-    reps: int
-    times: list = field(default_factory=list)  # seconds per forward+inverse pass
+    """Timings of `reps` forward+inverse transform passes at one arity."""
+
+    __slots__ = ("arity", "reps", "times")
+
+    def __init__(self, arity: int, reps: int, times=()):
+        self.arity = arity
+        self.reps = reps
+        self.times = list(times)  # seconds per forward+inverse pass
+
+    def __repr__(self):
+        return (
+            f"TransformBenchReport(arity={self.arity!r}, reps={self.reps!r},"
+            f" times={self.times!r})"
+        )
 
     @property
     def entries(self) -> int:
@@ -31,7 +39,11 @@ class TransformBenchReport:
 
     @property
     def median_seconds(self) -> float:
-        return statistics.median(self.times)
+        ordered = sorted(self.times)
+        if not ordered:
+            raise ValueError("no median for empty data")
+        mid = len(ordered) // 2
+        return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
     @property
     def entries_per_second(self) -> float:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success (and on a passing identity check), 1 when a
-check fails, 2 on usage or parse errors and when memory runs out, 130 on
-an interrupt.  A positional input of "-" reads from standard input.
+check fails, 2 on usage or parse errors and when memory or the
+interpreter's recursion limit runs out, 130 on an interrupt.  A
+positional input of "-" reads from standard input.
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ def _face_arg(text: str) -> Face:
     return Face(axis, level)
 
 
-def _poly_from_expr_or_table(args) -> ZhegalkinPoly:
+def _read_poly(args) -> ZhegalkinPoly:
+    """The polynomial in args.input: an n:HEX table, else canonical ANF,
+    else an expression; the last two need --n."""
     text = _read_arg(args.input)
     if _TABLE_TEXT.match(text):
         table = parse_table(text)
@@ -58,27 +61,25 @@ def _poly_from_expr_or_table(args) -> ZhegalkinPoly:
                 f"--n {args.n} conflicts with table arity {table.arity}"
             )
         return ZhegalkinPoly.from_truth_table(table)
-    return expr_to_anf(parse_expr(text), _require_n(args))
-
-
-def _cmd_anf(args) -> int:
-    print(_poly_from_expr_or_table(args))
-    return 0
-
-
-def _cmd_table(args) -> int:
-    text = _read_arg(args.input)
     n = _require_n(args)
     try:
-        poly = parse_anf(text, n)
+        return parse_anf(text, n)
     except ParseError as anf_err:
         try:
-            poly = expr_to_anf(parse_expr(text), n)
+            return expr_to_anf(parse_expr(text), n)
         except ParseError as expr_err:
             raise ValueError(
                 f"cannot parse input as ANF ({anf_err}) or expression ({expr_err})"
             ) from None
-    print(poly.to_truth_table())
+
+
+def _cmd_anf(args) -> int:
+    print(_read_poly(args))
+    return 0
+
+
+def _cmd_table(args) -> int:
+    print(_read_poly(args).to_truth_table())
     return 0
 
 
@@ -158,9 +159,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("anf", help="convert an expression or n:HEX table to ANF")
+    p = sub.add_parser("anf", help="convert an n:HEX table, ANF or expression to ANF")
     p.add_argument("--n", type=int, help="number of variables")
-    p.add_argument("input", help='expression like "x1 | x2", or "n:HEX", or -')
+    p.add_argument("input", help='"n:HEX", ANF text, expression like "x1 | x2", or -')
     p.set_defaults(handler=_cmd_anf)
 
     p = sub.add_parser("table", help="convert an expression or ANF to n:HEX")
@@ -220,7 +221,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValueError) as exc:
+    except (ParseError, ValueError, RecursionError) as exc:
+        # RecursionError is a RuntimeError, which means a failed identity
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -20,8 +20,6 @@ a+b+a*b, !a is 1+a, and ^ is ring addition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
 
 from .anf import ZhegalkinPoly, _check_arity
 
@@ -52,41 +50,89 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Expr:
+    """Base of the expression nodes: immutable values, equal only to a node
+    of the same class with equal fields, with a repr that names each field.
+    `__match_args__` lists a node's fields."""
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        # a list comprehension: joining a generator nests deeper per level
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+# Each __init__ writes through the slot descriptors (the _set_* functions
+# below), which bypass the frozen __setattr__ and cost less than
+# object.__setattr__; node construction is on the parser's hot path.
+class Const(Expr):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int):
+        _set_value(self, value)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Expr"
+class Var(Expr):
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set_index(self, index)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Expr"
-    right: "Expr"
+class Not(Expr):
+    __slots__ = __match_args__ = ("child",)
+
+    def __init__(self, child: Expr):
+        _set_child(self, child)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Expr"
-    right: "Expr"
+class _Binary(Expr):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set_left(self, left)
+        _set_right(self, right)
 
 
-@dataclass(frozen=True)
-class Xor:
-    left: "Expr"
-    right: "Expr"
+class And(_Binary):
+    __slots__ = ()
 
 
-Expr = Union[Const, Var, Not, And, Or, Xor]
-_BINARY = (And, Or, Xor)
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Xor(_Binary):
+    __slots__ = ()
+
+
+_set_value = Const.value.__set__
+_set_index = Var.index.__set__
+_set_child = Not.child.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
 _OPERATORS = frozenset("&|^!()") | {"end"}
@@ -242,14 +288,14 @@ def _translate(expr: Expr, n: int) -> ZhegalkinPoly:
         return ZhegalkinPoly.one(n) + _translate(expr.child, n)
     if isinstance(expr, Const):
         return ZhegalkinPoly.constant(n, expr.value)
-    if not isinstance(expr, _BINARY):
+    if not isinstance(expr, _Binary):
         raise TypeError(f"not an expression node: {expr!r}")
     # Operator chains parse left-deep, so walk the left spine in a loop and
     # recurse only into right operands and negations, whose depth the
     # parser bounds.
     spine = [expr]
     left = expr.left
-    while isinstance(left, _BINARY):
+    while isinstance(left, _Binary):
         spine.append(left)
         left = left.left
     acc = _translate(left, n)

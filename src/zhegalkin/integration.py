@@ -21,7 +21,6 @@ Conventions, fixed here and relied on by the checker:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .anf import ZhegalkinPoly, _check_arity, _check_index
@@ -89,8 +88,7 @@ def integrate_boundary(w: KForm) -> int:
     return total
 
 
-@dataclass
-class StokesReport:
+class StokesReport(NamedTuple):
     """Both sides of the boundary identity for one (n-1)-form."""
 
     lhs: int
@@ -113,8 +111,9 @@ def stokes_check(w: KForm) -> StokesReport:
     return StokesReport(lhs=lhs, rhs=rhs, passed=lhs == rhs, form=w)
 
 
-@dataclass
-class SweepSummary:
+class SweepSummary(NamedTuple):
+    """How many forms a sweep checked and failed, with the first failure."""
+
     checked: int
     failed: int
     counterexample_index: Optional[int] = None

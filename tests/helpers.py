@@ -20,17 +20,22 @@ import zhegalkin
 from zhegalkin import And, Const, KForm, Not, Or, ParseError, Var, Xor, ZhegalkinPoly
 
 
-def run_module(*argv):
-    """Run `python -m zhegalkin *argv` on the package these tests import,
-    whether it is installed or only on the test run's import path."""
+def run_python(*argv):
+    """Run the interpreter on argv with the package these tests import on
+    its path, whether it is installed or only on the test run's import path."""
     src = str(Path(zhegalkin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "zhegalkin", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*argv):
+    """Run `python -m zhegalkin *argv`."""
+    return run_python("-m", "zhegalkin", *argv)
 
 
 def all_polys(n):

@@ -1,7 +1,15 @@
+import statistics
+
 import pytest
 
 import zhegalkin.bench
-from zhegalkin import run_transform_benchmark
+from zhegalkin import TransformBenchReport, run_transform_benchmark
+
+
+@pytest.mark.parametrize("times", [[0.3], [0.5, 0.1, 0.4], [0.4, 0.1], [0.2, 0.9, 0.1, 0.7]])
+def test_median_matches_statistics(times):
+    report = TransformBenchReport(arity=10, reps=len(times), times=times)
+    assert report.median_seconds == statistics.median(times)
 
 
 def test_round_trip_mismatch_raises(monkeypatch):

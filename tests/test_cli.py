@@ -1,4 +1,5 @@
 import io
+import random
 import sys
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from zhegalkin import cli, parse_anf, parse_form, parse_table
 from zhegalkin.cli import main
 
-from helpers import run_module
+from helpers import random_poly, run_module, run_python
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,16 @@ def test_anf_requires_n_for_expressions(capsys):
 def test_anf_table_arity_conflict(capsys):
     code, _, err = run_cli(capsys, "anf", "--n", "3", "2:8")
     assert code == 2 and "conflicts" in err
+
+
+def test_anf_reads_the_anf_it_prints(capsys):
+    rng = random.Random(8)
+    for n in range(1, 6):
+        for _ in range(20):
+            text = str(random_poly(rng, n))
+            assert run_cli(capsys, "anf", "--n", str(n), text) == (0, text, "")
+    code, out, _ = run_cli(capsys, "anf", "--n", "3", "x1*x2")
+    assert code == 0 and out == "x1*x2"
 
 
 def test_anf_long_flat_chain(capsys):
@@ -167,7 +178,11 @@ def test_bench_range(capsys):
 
 @pytest.mark.parametrize(
     "exc,code,message",
-    [(MemoryError, 2, "error: out of memory"), (KeyboardInterrupt, 130, "interrupted")],
+    [
+        (MemoryError, 2, "error: out of memory"),
+        (KeyboardInterrupt, 130, "interrupted"),
+        (RecursionError("too deep"), 2, "error: too deep"),
+    ],
 )
 def test_fatal_exceptions_exit_without_traceback(capsys, monkeypatch, exc, code, message):
     def handler(args):
@@ -196,6 +211,15 @@ def test_module_entry_point():
     proc = run_module("anf", "--n", "2", "x1 | x2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1 + x2 + x1*x2"
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    heavy = ("dataclasses", "inspect", "statistics", "fractions", "decimal")
+    proc = run_python(
+        "-c", f"import sys, zhegalkin.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand(capsys):

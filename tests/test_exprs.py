@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -19,6 +20,33 @@ from zhegalkin import (
 )
 
 from helpers import EXPR_CORPUS, eval_expr, random_expr
+
+
+def test_nodes_are_values():
+    a, b = Var(1), Not(Var(2))
+    assert And(a, b) == And(Var(1), Not(Var(2))) and And(left=a, right=b) == And(a, b)
+    assert And(a, b) != Or(a, b) and Or(a, b) != Xor(a, b) and Var(1) != Const(1)
+    assert Var(1) != 1 and Const(0) != Var(0)
+    assert hash(parse_expr("x1 & !x2 | 0")) == hash(Or(And(a, b), Const(0)))
+    assert len({Var(1), Var(1), Const(1)}) == 2
+    tree = parse_expr("x1 & !x2 | 0")
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    assert repr(parse_expr("x1 & !x2 | 0 ^ x3")) == (
+        "Or(left=And(left=Var(index=1), right=Not(child=Var(index=2))),"
+        " right=Xor(left=Const(value=0), right=Var(index=3)))"
+    )
+
+
+def test_nodes_are_immutable_and_check_arguments():
+    for node, field in ((Const(1), "value"), (Var(1), "index"), (Not(Var(1)), "child"),
+                        (And(Var(1), Var(2)), "left"), (Xor(Var(1), Var(2)), "right")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Var(3))
+        with pytest.raises(AttributeError):
+            node.other = 1
+    for make, args in ((Const, ()), (Var, (1, 2)), (Not, ()), (And, (Var(1),)), (Or, (Var(1),) * 3)):
+        with pytest.raises(TypeError):
+            make(*args)
 
 
 def test_parse_single_operator():

@@ -185,3 +185,7 @@ def test_sweep_summary_counterexample_line():
     assert str(summary) == (
         "checked=5 failed=1\ncounterexample index=3: lhs=1 rhs=0 pass=false form=0"
     )
+    assert summary.counterexample_index == 3 and summary.counterexample.lhs == 1
+    assert str(SweepSummary(checked=7, failed=0)) == "checked=7 failed=0"
+    report = StokesReport(lhs=0, rhs=0, passed=True, form=KForm.zero(2, 1))
+    assert str(report) == "lhs=0 rhs=0 pass=true form=0"
