@@ -65,6 +65,13 @@ def _check_dense_arity(arity) -> int:
     return arity
 
 
+def _check_bit(value, what: str) -> int:
+    """A bit is the int 0 or 1; a bool counts, a float such as 1.0 does not."""
+    if not isinstance(value, int) or value not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {value!r}")
+    return value
+
+
 def _check_index(index, arity) -> int:
     if not isinstance(index, int) or isinstance(index, bool) or not 1 <= index <= arity:
         raise ValueError(f"variable index {index!r} out of range 1..{arity}")
@@ -126,16 +133,15 @@ def vertex_mask(vertex, arity: int) -> int:
 
     In a bit sequence, element j-1 is the value of x_j.
     """
-    if isinstance(vertex, int) and not isinstance(vertex, bool):
-        if vertex < 0 or vertex >> arity:
-            raise ValueError(f"vertex {vertex!r} does not fit in {arity} bits")
+    if isinstance(vertex, int):
+        if isinstance(vertex, bool) or vertex < 0 or vertex >> arity:
+            raise ValueError(f"vertex {vertex!r} is not a mask of {arity} bits")
         return vertex
     bits = list(vertex)
     if len(bits) != arity:
         raise ValueError(f"vertex has {len(bits)} coordinates, expected {arity}")
     for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"vertex coordinate {b!r} is not a bit")
+        _check_bit(b, "vertex coordinate")
     return _pack((j for j, b in enumerate(bits) if b), arity)
 
 
@@ -169,16 +175,53 @@ def mobius_transform(bits: int, arity: int) -> int:
     return bits
 
 
-class ZhegalkinPoly:
+class _Value:
+    """Base of the package's values: polynomials, truth tables, forms,
+    operator fields and expression nodes.
+
+    A value's fields are its `__match_args__`.  It equals only a value of
+    the same class with equal fields, and hashes its field tuple.
+    Assigning or deleting a field raises AttributeError, so a value never
+    changes once built and is safe to share between threads; every
+    operation returns a new value.  Pickling and copying rebuild the value
+    through its public constructor.  Constructors write the fields through
+    the slot descriptors (`ZhegalkinPoly.terms.__set__` and so on), which
+    bypass the frozen `__setattr__`.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ZhegalkinPoly(_Value):
     """An n-variable Boolean function as its canonical set of monomials.
 
     Two polynomials of equal arity represent the same function iff their
     term sets are equal.  Construction XOR-folds the given monomials, so a
-    repeated mask cancels.  Instances are immutable; every operation
-    returns a new value, so sharing across threads is safe.
+    repeated mask cancels.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = __match_args__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms=()):
         _check_arity(arity)
@@ -188,16 +231,8 @@ class ZhegalkinPoly:
                 raise ValueError(
                     f"monomial mask {m!r} does not fit in {arity} variables"
                 )
-        self.arity = arity
-        self.terms = _xor_fold(terms)
-
-    @classmethod
-    def _make(cls, arity: int, terms: frozenset) -> "ZhegalkinPoly":
-        # internal fast path: terms must already be a canonical frozenset
-        p = object.__new__(cls)
-        p.arity = arity
-        p.terms = terms
-        return p
+        _set_poly_arity(self, arity)
+        _set_terms(self, _xor_fold(terms))
 
     @classmethod
     def zero(cls, arity: int) -> "ZhegalkinPoly":
@@ -211,28 +246,27 @@ class ZhegalkinPoly:
     def constant(cls, arity: int, value: int) -> "ZhegalkinPoly":
         """The constant function `value` at the given arity."""
         _check_arity(arity)
-        if value not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {value!r}")
-        return cls._make(arity, frozenset({0}) if value else frozenset())
+        _check_bit(value, "constant")
+        return _make_poly(arity, frozenset({0}) if value else frozenset())
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "ZhegalkinPoly":
         """The projection x_index (1-based)."""
         _check_arity(arity)
         _check_index(index, arity)
-        return cls._make(arity, frozenset({1 << (index - 1)}))
+        return _make_poly(arity, frozenset({1 << (index - 1)}))
 
     @classmethod
     def from_coeff_bits(cls, arity: int, bits: int) -> "ZhegalkinPoly":
         """Build from a packed coefficient vector (bit m set = monomial m)."""
         _check_packed(bits, arity)
-        return cls._make(arity, frozenset(_positions(bits)))
+        return _make_poly(arity, frozenset(_positions(bits)))
 
     @classmethod
     def from_truth_table(cls, table: "TruthTable") -> "ZhegalkinPoly":
         """The unique polynomial realizing the given truth table."""
         coeffs = mobius_transform(table.bits, table.arity)
-        return cls._make(table.arity, frozenset(_positions(coeffs)))
+        return _make_poly(table.arity, frozenset(_positions(coeffs)))
 
     def coeff_bits(self) -> int:
         """Pack the term set into a coefficient vector (bit m = monomial m)."""
@@ -255,13 +289,12 @@ class ZhegalkinPoly:
     def restrict(self, index: int, value: int) -> "ZhegalkinPoly":
         """Cofactor with x_index fixed to value; same arity, x_index eliminated."""
         _check_index(index, self.arity)
-        if value not in (0, 1):
-            raise ValueError(f"restriction value must be 0 or 1, got {value!r}")
+        _check_bit(value, "restriction value")
         bit = 1 << (index - 1)
         if value == 0:
             kept = frozenset(m for m in self.terms if not m & bit)
-            return ZhegalkinPoly._make(self.arity, kept)
-        return ZhegalkinPoly._make(self.arity, _xor_fold(m & ~bit for m in self.terms))
+            return _make_poly(self.arity, kept)
+        return _make_poly(self.arity, _xor_fold(m & ~bit for m in self.terms))
 
     def partial(self, index: int) -> "ZhegalkinPoly":
         """Boolean derivative in x_index: terms containing it, with it removed.
@@ -271,9 +304,7 @@ class ZhegalkinPoly:
         """
         _check_index(index, self.arity)
         bit = 1 << (index - 1)
-        return ZhegalkinPoly._make(
-            self.arity, frozenset(m & ~bit for m in self.terms if m & bit)
-        )
+        return _make_poly(self.arity, frozenset(m & ~bit for m in self.terms if m & bit))
 
     def degree(self):
         """Largest monomial size, or None for the zero polynomial."""
@@ -289,7 +320,7 @@ class ZhegalkinPoly:
         if not isinstance(other, ZhegalkinPoly):
             return NotImplemented
         self._check_same_arity(other)
-        return ZhegalkinPoly._make(self.arity, self.terms ^ other.terms)
+        return _make_poly(self.arity, self.terms ^ other.terms)
 
     def __mul__(self, other):
         if not isinstance(other, ZhegalkinPoly):
@@ -310,18 +341,10 @@ class ZhegalkinPoly:
                     acc.remove(m)
                 else:
                     acc.add(m)
-        return ZhegalkinPoly._make(self.arity, frozenset(acc))
+        return _make_poly(self.arity, frozenset(acc))
 
     def __bool__(self):
         return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ZhegalkinPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, self.terms))
 
     def __repr__(self):
         return f"ZhegalkinPoly({self.arity}, {sorted(self.terms)})"
@@ -343,14 +366,28 @@ class ZhegalkinPoly:
         return " + ".join(parts)
 
 
-class TruthTable:
+# The internal fast path: terms must already be a canonical frozenset.  As a
+# module-level function it costs less per call than as a class/staticmethod.
+def _make_poly(arity: int, terms: frozenset) -> ZhegalkinPoly:
+    p = _new(ZhegalkinPoly)
+    _set_poly_arity(p, arity)
+    _set_terms(p, terms)
+    return p
+
+
+_new = object.__new__
+_set_poly_arity = ZhegalkinPoly.arity.__set__
+_set_terms = ZhegalkinPoly.terms.__set__
+
+
+class TruthTable(_Value):
     """A bit-packed 2^arity-entry value table (entry k = bit k of `bits`)."""
 
-    __slots__ = ("arity", "bits")
+    __slots__ = __match_args__ = ("arity", "bits")
 
     def __init__(self, arity: int, bits: int):
-        self.bits = _check_packed(bits, arity)
-        self.arity = arity
+        _set_bits(self, _check_packed(bits, arity))
+        _set_table_arity(self, arity)
 
     @classmethod
     def from_values(cls, values) -> "TruthTable":
@@ -360,8 +397,7 @@ class TruthTable:
         if len(vals) < 2 or len(vals) != 1 << n:
             raise ValueError(f"table length {len(vals)} is not a power of two >= 2")
         for b in vals:
-            if b not in (0, 1):
-                raise ValueError(f"table entry {b!r} is not a bit")
+            _check_bit(b, "table entry")
         return cls(n, _pack((k for k, b in enumerate(vals) if b), len(vals)))
 
     def bit(self, k: int) -> int:
@@ -375,17 +411,13 @@ class TruthTable:
     def __iter__(self):
         return map(int, f"{self.bits:0{1 << self.arity}b}"[::-1])
 
-    def __eq__(self, other):
-        if not isinstance(other, TruthTable):
-            return NotImplemented
-        return self.arity == other.arity and self.bits == other.bits
-
-    def __hash__(self):
-        return hash((self.arity, self.bits))
-
     def __repr__(self):
         return f"TruthTable({self.arity}, {self.bits:#x})"
 
     def __str__(self):
         nibbles = ((1 << self.arity) + 3) // 4
         return f"{self.arity}:{self.bits:0{nibbles}X}"
+
+
+_set_table_arity = TruthTable.arity.__set__
+_set_bits = TruthTable.bits.__set__

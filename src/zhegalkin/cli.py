@@ -123,18 +123,11 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_stokes(args) -> int:
     n = _require_n(args)
-    sweep_mode = args.exhaustive or args.random is not None
     if args.form is not None:
-        if sweep_mode:
-            raise ValueError("give either a form or a sweep mode, not both")
         form = parse_form(_read_arg(args.form), n, degree=n - 1)
         report = stokes_check(form)
         print(report)
         return 0 if report.passed else 1
-    if args.exhaustive and args.random is not None:
-        raise ValueError("choose one of --exhaustive or --random")
-    if not sweep_mode:
-        raise ValueError("give a form, or --exhaustive, or --random COUNT")
     if args.exhaustive:
         summary = stokes_sweep(n, exhaustive=True)
     else:
@@ -197,10 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stokes", help="check the boundary identity")
     p.add_argument("--n", type=int, help="number of variables")
-    p.add_argument("--exhaustive", action="store_true", help="sweep every form (n <= 2)")
-    p.add_argument("--random", type=int, metavar="COUNT", help="sweep COUNT random forms")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exhaustive", action="store_true", help="sweep every form (n <= 2)")
+    mode.add_argument("--random", type=int, metavar="COUNT", help="sweep COUNT random forms")
+    mode.add_argument("form", nargs="?", help="single (n-1)-form to check, or -")
     p.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
-    p.add_argument("form", nargs="?", help="single (n-1)-form to check, or -")
     p.set_defaults(handler=_cmd_stokes)
 
     p = sub.add_parser("bench", help="time the packed table<->ANF transform")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .anf import ZhegalkinPoly, _check_arity
+from .anf import ZhegalkinPoly, _check_arity, _Value
 
 __all__ = [
     "And",
@@ -50,43 +50,20 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Expr:
-    """Base of the expression nodes: immutable values, equal only to a node
-    of the same class with equal fields, with a repr that names each field.
-    `__match_args__` lists a node's fields."""
+class Expr(_Value):
+    """Base of the expression nodes: values (see `anf._Value`) whose repr
+    names each field.  `__match_args__` lists a node's fields."""
 
     __slots__ = ()
-    __match_args__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __repr__(self):
         # a list comprehension: joining a generator nests deeper per level
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{self.__class__.__qualname__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
 
 # Each __init__ writes through the slot descriptors (the _set_* functions
-# below), which bypass the frozen __setattr__ and cost less than
-# object.__setattr__; node construction is on the parser's hot path.
+# below); node construction is on the parser's hot path.
 class Const(Expr):
     __slots__ = __match_args__ = ("value",)
 

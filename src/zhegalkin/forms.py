@@ -12,20 +12,21 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .anf import ZhegalkinPoly, _check_arity, indices_from_mask, mask_from_indices
+from .anf import (ZhegalkinPoly, _check_arity, _make_poly, _new, _Value,
+                  indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
 
 
-class KForm:
+class KForm(_Value):
     """A homogeneous degree-k form over the n-variable ANF ring.
 
     Degree-0 forms carry a single coefficient at the empty index set and
-    behave as plain polynomials (`as_poly`).  Immutable once built: the
-    coefficient map is a read-only view, and equal forms hash equal.
+    behave as plain polynomials (`as_poly`).  The coefficient map is a
+    read-only view.
     """
 
-    __slots__ = ("arity", "degree", "coeffs")
+    __slots__ = __match_args__ = ("arity", "degree", "coeffs")
 
     def __init__(self, arity: int, degree: int, coeffs=None):
         _check_arity(arity)
@@ -44,17 +45,9 @@ class KForm:
                 raise ValueError(f"coefficient at {key:#b} must have arity {arity}")
             if poly.terms:
                 clean[key] = poly
-        self.arity = arity
-        self.degree = degree
-        self.coeffs = MappingProxyType(clean)
-
-    @classmethod
-    def _make(cls, arity, degree, coeffs) -> "KForm":
-        w = object.__new__(cls)
-        w.arity = arity
-        w.degree = degree
-        w.coeffs = MappingProxyType(coeffs)
-        return w
+        _set_arity(self, arity)
+        _set_degree(self, degree)
+        _set_coeffs(self, MappingProxyType(clean))
 
     @classmethod
     def zero(cls, arity: int, degree: int) -> "KForm":
@@ -105,7 +98,7 @@ class KForm:
         acc = dict(self.coeffs)
         for key, poly in other.coeffs.items():
             _accumulate(acc, key, poly)
-        return KForm._make(self.arity, self.degree, acc)
+        return _make_form(self.arity, self.degree, acc)
 
     def wedge(self, other: "KForm") -> "KForm":
         """Wedge product; overlapping index sets annihilate, no signs over F2.
@@ -123,7 +116,7 @@ class KForm:
                 if ka & kb:
                     continue
                 _accumulate(acc, ka | kb, fa * fb)
-        return KForm._make(self.arity, out_degree, acc)
+        return _make_form(self.arity, out_degree, acc)
 
     def d(self) -> "KForm":
         """Exterior derivative: adjoin each absent index with the matching
@@ -152,20 +145,15 @@ class KForm:
                     else:
                         partials[bit] = [m ^ bit]
             for bit, terms in partials.items():
-                _accumulate(acc, key | bit, ZhegalkinPoly._make(n, frozenset(terms)))
-        return KForm._make(n, out_degree, acc)
+                _accumulate(acc, key | bit, _make_poly(n, frozenset(terms)))
+        return _make_form(n, out_degree, acc)
 
-    def __eq__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
+    # a mappingproxy neither hashes nor pickles
     def __hash__(self):
         return hash((self.arity, self.degree, frozenset(self.coeffs.items())))
+
+    def __reduce__(self):
+        return KForm, (self.arity, self.degree, dict(self.coeffs))
 
     def __repr__(self):
         return f"<KForm n={self.arity} k={self.degree}: {self}>"
@@ -180,6 +168,20 @@ class KForm:
             idx = ",".join(str(i) for i in indices_from_mask(key))
             parts.append(f"({self.coeffs[key]})*d{{{idx}}}")
         return " + ".join(parts)
+
+
+def _make_form(arity: int, degree: int, coeffs: dict) -> KForm:
+    # internal fast path: coeffs must already be canonical (no zero entries)
+    w = _new(KForm)
+    _set_arity(w, arity)
+    _set_degree(w, degree)
+    _set_coeffs(w, MappingProxyType(coeffs))
+    return w
+
+
+_set_arity = KForm.arity.__set__
+_set_degree = KForm.degree.__set__
+_set_coeffs = KForm.coeffs.__set__
 
 
 def _accumulate(acc: dict, key: int, poly: ZhegalkinPoly):

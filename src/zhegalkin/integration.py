@@ -21,9 +21,9 @@ Conventions, fixed here and relied on by the checker:
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
-from .anf import ZhegalkinPoly, _check_arity, _check_index
+from .anf import ZhegalkinPoly, _check_arity, _check_bit, _check_index
 from .forms import KForm
 
 __all__ = [
@@ -38,18 +38,16 @@ __all__ = [
 ]
 
 
-class Face(NamedTuple):
+class Face(namedtuple("Face", "axis level")):
     """The face of the cube with coordinate `axis` (1-based) equal to `level`."""
 
-    axis: int
-    level: int
+    __slots__ = ()
 
 
 def _check_face(arity: int, face) -> Face:
     face = Face(*face)
     _check_index(face.axis, arity)
-    if face.level not in (0, 1):
-        raise ValueError(f"face level must be 0 or 1, got {face.level!r}")
+    _check_bit(face.level, "face level")
     return face
 
 
@@ -88,13 +86,11 @@ def integrate_boundary(w: KForm) -> int:
     return total
 
 
-class StokesReport(NamedTuple):
-    """Both sides of the boundary identity for one (n-1)-form."""
+class StokesReport(namedtuple("StokesReport", "lhs rhs passed form")):
+    """Both sides of the boundary identity for one (n-1)-form: ints lhs and
+    rhs, bool passed, and the KForm checked."""
 
-    lhs: int
-    rhs: int
-    passed: bool
-    form: KForm
+    __slots__ = ()
 
     def __str__(self):
         flag = "true" if self.passed else "false"
@@ -111,13 +107,12 @@ def stokes_check(w: KForm) -> StokesReport:
     return StokesReport(lhs=lhs, rhs=rhs, passed=lhs == rhs, form=w)
 
 
-class SweepSummary(NamedTuple):
-    """How many forms a sweep checked and failed, with the first failure."""
+class SweepSummary(namedtuple("SweepSummary", "checked failed counterexample_index counterexample",
+                              defaults=(None, None))):
+    """How many forms a sweep checked and failed, with the first failure:
+    its sample index and its StokesReport, or None for both."""
 
-    checked: int
-    failed: int
-    counterexample_index: Optional[int] = None
-    counterexample: Optional[StokesReport] = None
+    __slots__ = ()
 
     def __str__(self):
         line = f"checked={self.checked} failed={self.failed}"
@@ -135,7 +130,7 @@ def _slot_masks(arity: int) -> list[int]:
 
 
 def stokes_sweep(
-    arity: int, *, exhaustive: bool = False, count: Optional[int] = None, seed: int = 0
+    arity: int, *, exhaustive: bool = False, count: int | None = None, seed: int = 0
 ) -> SweepSummary:
     """Run `stokes_check` over many (n-1)-forms.
 

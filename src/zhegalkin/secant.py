@@ -9,16 +9,16 @@ dual basis, where d_i(D_j) is 1 exactly when i = j.
 
 from __future__ import annotations
 
-from .anf import ZhegalkinPoly, _check_arity, _check_index
+from .anf import ZhegalkinPoly, _check_arity, _check_index, _Value
 from .forms import KForm
 
 __all__ = ["SecantElement", "differential", "pair"]
 
 
-class SecantElement:
+class SecantElement(_Value):
     """A combination sum_i f_i*D_i of the n difference operators."""
 
-    __slots__ = ("arity", "coeffs")
+    __slots__ = __match_args__ = ("arity", "coeffs")
 
     def __init__(self, arity: int, coeffs):
         _check_arity(arity)
@@ -28,8 +28,8 @@ class SecantElement:
         for f in coeffs:
             if not isinstance(f, ZhegalkinPoly) or f.arity != arity:
                 raise ValueError(f"coefficients must be polynomials of arity {arity}")
-        self.arity = arity
-        self.coeffs = coeffs
+        _set_arity(self, arity)
+        _set_coeffs(self, coeffs)
 
     @classmethod
     def zero(cls, arity: int) -> "SecantElement":
@@ -63,14 +63,6 @@ class SecantElement:
             self.arity, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, SecantElement):
-            return NotImplemented
-        return self.arity == other.arity and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.arity, self.coeffs))
-
     def __repr__(self):
         return f"<SecantElement n={self.arity}: {self}>"
 
@@ -79,6 +71,10 @@ class SecantElement:
             f"({f})*D{i}" for i, f in enumerate(self.coeffs, start=1) if f.terms
         ]
         return " + ".join(parts) if parts else "0"
+
+
+_set_arity = SecantElement.arity.__set__
+_set_coeffs = SecantElement.coeffs.__set__
 
 
 def differential(f: ZhegalkinPoly) -> KForm:

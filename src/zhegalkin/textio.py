@@ -18,9 +18,8 @@ its digit runs in one loop, so ANF text costs one token per term.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
-from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_arity
+from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_arity, _make_poly
 from .exprs import ParseError, _lex, _number
 from .forms import KForm
 from .secant import SecantElement
@@ -109,7 +108,7 @@ def _read_anf(tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int
         kind = tokens[i][0]
         if kind == stop or kind == "end":
             # every mask was range-checked and none repeats: already canonical
-            return ZhegalkinPoly._make(arity, frozenset(terms)), i
+            return _make_poly(arity, frozenset(terms)), i
         i = _expect(tokens, i, "+")
 
 
@@ -172,7 +171,7 @@ def _read_slots(tokens, arity: int, op: str) -> dict[int, ZhegalkinPoly]:
         i = _expect(tokens, i, "+")
 
 
-def parse_form(source: str, arity: int, degree: Optional[int] = None) -> KForm:
+def parse_form(source: str, arity: int, degree: int | None = None) -> KForm:
     """Parse form text; bare ANF reads as a 0-form.
 
     When `degree` is given, a nonzero form must match it and the

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from itertools import product
@@ -7,11 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zhegalkin import (
+    KForm,
+    SecantElement,
     TruthTable,
     ZhegalkinPoly,
     indices_from_mask,
     mask_from_indices,
     mobius_transform,
+    parse_expr,
     vertex_mask,
 )
 from zhegalkin.anf import _DENSE_PRODUCT_OVERHEAD
@@ -37,8 +42,10 @@ def test_constant():
     assert str(five) == "1" and five.arity == 5
     with pytest.raises(ValueError):
         ZhegalkinPoly.constant(0, 1)
-    with pytest.raises(ValueError):
-        ZhegalkinPoly.constant(2, 2)
+    for bad in (2, 1.0, -1):
+        with pytest.raises(ValueError):
+            ZhegalkinPoly.constant(2, bad)
+    assert ZhegalkinPoly.constant(2, True) == ZhegalkinPoly.one(2)  # a bool is a bit
 
 
 def test_variable():
@@ -147,6 +154,12 @@ def test_evaluate_vertex_validation():
         p.evaluate(4)
     with pytest.raises(ValueError):
         p.evaluate(-1)
+    for bad in (True, (1.0, 0), (True, 2)):
+        with pytest.raises(ValueError):
+            p.evaluate(bad)
+    with pytest.raises(ValueError):
+        vertex_mask((1.0, 0), 2)
+    assert vertex_mask((True, False), 2) == 1
 
 
 def test_vertex_mask_sequence_matches_int():
@@ -166,8 +179,10 @@ def test_restrict_examples():
     assert again == p.restrict(1, 1)
     with pytest.raises(ValueError):
         p.restrict(4, 0)
-    with pytest.raises(ValueError):
-        p.restrict(1, 2)
+    for bad in (2, 1.0):
+        with pytest.raises(ValueError):
+            p.restrict(1, bad)
+    assert p.restrict(1, True) == p.restrict(1, 1)
 
 
 def test_restrict_against_pointwise_oracle():
@@ -357,8 +372,10 @@ def test_truth_table_validation():
         TruthTable(1, 4)
     with pytest.raises(ValueError):
         TruthTable.from_values([0, 1, 1])
-    with pytest.raises(ValueError):
-        TruthTable.from_values([0, 2])
+    for bad in ([0, 2], [0, 1.0]):
+        with pytest.raises(ValueError):
+            TruthTable.from_values(bad)
+    assert TruthTable.from_values([False, True]) == TruthTable(1, 2)
     t = TruthTable.from_values([0, 0, 0, 1])
     assert t.bit(3) == 1 and t.bit(0) == 0
     with pytest.raises(ValueError):
@@ -397,6 +414,46 @@ def test_str_cost_follows_highest_variable_not_arity():
         tracemalloc.stop()
     assert text == "x1"
     assert peak < 1 << 20
+
+
+# one sample of each value type, with its fields; each call builds a new value
+VALUE_SAMPLES = {
+    "poly": (lambda: ZhegalkinPoly(3, [0b101, 0]), ("arity", "terms")),
+    "table": (lambda: TruthTable(2, 0x6), ("arity", "bits")),
+    "form": (
+        lambda: KForm(2, 1, {0b01: ZhegalkinPoly.one(2), 0b10: ZhegalkinPoly.variable(2, 1)}),
+        ("arity", "degree", "coeffs"),
+    ),
+    "field": (
+        lambda: SecantElement(2, [ZhegalkinPoly.variable(2, 2), ZhegalkinPoly.one(2)]),
+        ("arity", "coeffs"),
+    ),
+    "expr": (lambda: parse_expr("x1 & !x2 | 0"), ("left", "right")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_SAMPLES))
+def test_values_keep_the_value_contract(kind):
+    make, fields = VALUE_SAMPLES[kind]
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for other_kind, (make_other, _) in VALUE_SAMPLES.items():
+        if other_kind != kind:
+            assert a != make_other() and make_other() != a
+    # a subclass instance with the same fields is a value of another class
+    twin = type("Twin", (type(a),), {"__slots__": ()})(*a.__reduce__()[1])
+    assert twin != a and a != twin
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and repr(a) == repr(b)
+    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        c = round_trip(a)
+        assert type(c) is type(a) and c == a and hash(c) == hash(a) and repr(c) == repr(a)
 
 
 def test_poly_hash_and_equality():

@@ -167,6 +167,8 @@ def test_stokes_mode_validation(capsys):
         capsys, "stokes", "--n", "2", "--exhaustive", "--random", "10"
     )
     assert code == 2
+    code, _, _ = run_cli(capsys, "stokes", "--n", "2", "(x2)*d{1}", "--random", "5")
+    assert code == 2
 
 
 def test_bench_range(capsys):
@@ -214,9 +216,10 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_heavy_stdlib_modules():
-    heavy = ("dataclasses", "inspect", "statistics", "fractions", "decimal")
+    # -S: site hooks may preload some of these, which would hide an import
+    heavy = ("dataclasses", "inspect", "statistics", "fractions", "decimal", "typing")
     proc = run_python(
-        "-c", f"import sys, zhegalkin.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        "-S", "-c", f"import sys, zhegalkin.cli; print([m for m in {heavy!r} if m in sys.modules])"
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -53,9 +53,10 @@ def test_integrate_face_examples():
         integrate_face(KForm.term(f, [1, 2, 3]), Face(1, 0))
     with pytest.raises(ValueError):
         integrate_face(w, Face(4, 0))
-    for bad in (Face(0, 0), Face(3, 0), Face(1, 2)):
+    for bad in (Face(0, 0), Face(3, 0), Face(1, 2), (1, 1.0)):
         with pytest.raises(ValueError):
             integrate_face(v, bad)
+    assert integrate_face(v, (2, True)) == 1
 
 
 def test_face_and_boundary_integrals_match_face_sum():
