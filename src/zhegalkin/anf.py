@@ -14,8 +14,15 @@ Representation rule: the term set (a frozenset of monomial masks) is the
 only store for a polynomial.  A packed int (entry k = bit k) is the
 boundary format for truth tables and coefficient vectors; on it the
 table<->ANF conversion is a handful of word-wide shift/xor passes
-(`mobius_transform`).  Every crossing between the two goes through
-`_check_packed`, `_positions` and `_pack`, each linear in the table size.
+(`mobius_transform`).  Every crossing between the two is validated by
+`_check_packed` and goes through one transient intermediate, the flag
+bytes: one byte (0 or 1) per table entry.  `_positions` and `_pack` cross
+it, each linear in the table size.  The flags and their digit copy cost
+two bytes per entry while a crossing runs: under tracemalloc `coeff_bits`
+peaks at 34 MiB at n=24, against 6 MiB with the bit-packed buffer of
+2^21 bytes that the flags replaced.  The n=20 table -> polynomial ->
+table round trip peaks at 37 MiB, against 45 MiB before, because the
+positions now feed the term set without an intermediate list.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
@@ -23,12 +30,13 @@ costs |a|*|b| set operations; the route through packed tables costs about
 as much as 2^n + 256 of them.  So `*` goes through the tables, inside the
 one call, when |a|*|b| > 2^n + 256 and n <= MAX_DENSE_ARITY, and folds
 term pairs otherwise.  Just over that threshold the table route measured
-1.5-3.3x faster for n = 5..16.
+1.7-4.7x faster for n = 5..16.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 
 __all__ = [
     "MAX_DENSE_ARITY",
@@ -43,10 +51,10 @@ __all__ = [
 # Dense (bit-packed) truth tables are capped here; 2^24 entries = 2 MiB.
 MAX_DENSE_ARITY = 24
 
-# Fixed cost of a product through the tables, in term pairs: two `_pack`
-# bytearrays and three butterflies take 6-12 us at n <= 6, about 200 set
-# operations of the term-pair fold.  Without it the table route lost 2-8x
-# at |a|*|b| = 2^n for n <= 6.
+# Fixed cost of a product through the tables, in term pairs: three
+# flag-byte crossings and three butterflies take 8-12 us at n <= 6, about
+# 100-200 set operations of the term-pair fold.  Without it the table
+# route lost 2-8x at |a|*|b| = 2^n for n <= 6.
 _DENSE_PRODUCT_OVERHEAD = 256
 
 
@@ -78,17 +86,39 @@ def _check_index(index, arity) -> int:
     return index
 
 
-def _positions(bits: int, first: int = 0) -> list[int]:
+# The flag bytes are the one intermediate between a packed int and a term
+# set: one byte per table entry, 0 or 1, entry k at index k.  Both ways
+# between flags and a packed int are C-level string operations (binary
+# format, `bytes.translate`, `int(..., 2)`), and flags become positions
+# through `itertools.compress`; only `_pack` loops, one store per position.
+_FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_OF_FLAG = bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags(bits: int, width: int = 0) -> bytes:
+    """The flag bytes of `bits`, entry 0 first, padded to `width` entries."""
+    return bin(bits)[:1:-1].ljust(width, "0").encode().translate(_FLAG_OF_DIGIT)
+
+
+def _from_flags(flags: bytearray) -> int:
+    """The packed int whose entry k is flags[k]."""
+    digits = flags.translate(_DIGIT_OF_FLAG)
+    digits.reverse()  # in place: one copy of the flags, not two
+    return int(digits or b"0", 2)
+
+
+def _positions(bits: int, first: int = 0):
     """Ascending positions of the set bits, numbered from `first`."""
-    return [i for i, c in enumerate(bin(bits)[:1:-1], first) if c == "1"]
+    flags = _flags(bits)
+    return compress(range(first, first + len(flags)), flags)
 
 
 def _pack(positions, width: int) -> int:
     """The int with exactly the given bit positions (each < width) set."""
-    buf = bytearray((width + 7) >> 3)
+    flags = bytearray(width)
     for p in positions:
-        buf[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(buf, "little")
+        flags[p] = 1
+    return _from_flags(flags)
 
 
 def _check_packed(bits, arity) -> int:
@@ -125,7 +155,7 @@ def indices_from_mask(mask: int) -> list[int]:
     """Unpack a mask into ascending 1-based variable indices."""
     if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0:
         raise ValueError("mask must be a nonnegative int, not a bool")
-    return _positions(mask, 1)
+    return list(_positions(mask, 1))
 
 
 def vertex_mask(vertex, arity: int) -> int:
@@ -142,7 +172,7 @@ def vertex_mask(vertex, arity: int) -> int:
         raise ValueError(f"vertex has {len(bits)} coordinates, expected {arity}")
     for b in bits:
         _check_bit(b, "vertex coordinate")
-    return _pack((j for j, b in enumerate(bits) if b), arity)
+    return _from_flags(bytearray(bits))
 
 
 @lru_cache(maxsize=None)
@@ -398,7 +428,7 @@ class TruthTable(_Value):
             raise ValueError(f"table length {len(vals)} is not a power of two >= 2")
         for b in vals:
             _check_bit(b, "table entry")
-        return cls(n, _pack((k for k, b in enumerate(vals) if b), len(vals)))
+        return cls(n, _from_flags(bytearray(vals)))
 
     def bit(self, k: int) -> int:
         if not 0 <= k < (1 << self.arity):
@@ -409,7 +439,7 @@ class TruthTable(_Value):
         return 1 << self.arity
 
     def __iter__(self):
-        return map(int, f"{self.bits:0{1 << self.arity}b}"[::-1])
+        return iter(_flags(self.bits, 1 << self.arity))
 
     def __repr__(self):
         return f"TruthTable({self.arity}, {self.bits:#x})"

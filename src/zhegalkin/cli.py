@@ -123,6 +123,9 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_stokes(args) -> int:
     n = _require_n(args)
+    if args.seed is not None and args.random is None:
+        # argparse cannot tie --seed to one member of the mode group
+        raise ValueError("--seed applies only to --random")
     if args.form is not None:
         form = parse_form(_read_arg(args.form), n, degree=n - 1)
         report = stokes_check(form)
@@ -131,7 +134,7 @@ def _cmd_stokes(args) -> int:
     if args.exhaustive:
         summary = stokes_sweep(n, exhaustive=True)
     else:
-        summary = stokes_sweep(n, count=args.random, seed=args.seed)
+        summary = stokes_sweep(n, count=args.random, seed=args.seed or 0)
     print(summary)
     return 0 if summary.failed == 0 else 1
 
@@ -194,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true", help="sweep every form (n <= 2)")
     mode.add_argument("--random", type=int, metavar="COUNT", help="sweep COUNT random forms")
     mode.add_argument("form", nargs="?", help="single (n-1)-form to check, or -")
-    p.add_argument("--seed", type=int, default=0, help="seed for --random (default 0)")
+    p.add_argument("--seed", type=int, help="seed for --random (default 0)")
     p.set_defaults(handler=_cmd_stokes)
 
     p = sub.add_parser("bench", help="time the packed table<->ANF transform")

@@ -176,6 +176,12 @@ def schoolbook_product(p, q):
     return frozenset(m for m, count in hits.items() if count % 2)
 
 
+def bit_positions(bits, width):
+    """Positions of the set bits among the low `width` bits, one shift
+    per position (no string or byte conversion involved)."""
+    return [i for i in range(width) if bits >> i & 1]
+
+
 def slow_mobius(values):
     """Reference butterfly on a plain list of bits."""
     out = list(values)

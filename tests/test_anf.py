@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import tracemalloc
 from itertools import product
 from math import isqrt
@@ -21,7 +22,14 @@ from zhegalkin import (
 )
 from zhegalkin.anf import _DENSE_PRODUCT_OVERHEAD
 
-from helpers import all_polys, brute_table, random_poly, schoolbook_product, slow_mobius
+from helpers import (
+    all_polys,
+    bit_positions,
+    brute_table,
+    random_poly,
+    schoolbook_product,
+    slow_mobius,
+)
 
 
 @st.composite
@@ -169,6 +177,44 @@ def test_vertex_mask_sequence_matches_int():
         v = rng.getrandbits(n)
         bits = [(v >> j) & 1 for j in range(n)]
         assert vertex_mask(bits, n) == v == vertex_mask(v, n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_packed_crossings_match_bit_reference(n):
+    # every crossing between a packed int and positions or entries, on
+    # the empty, full, first-entry-only and last-entry-only tables and a
+    # random one
+    w = 1 << n
+    for bits in (0, (1 << w) - 1, 1, 1 << (w - 1), random.Random(n).getrandbits(w)):
+        positions = bit_positions(bits, w)
+        entries = [0] * w
+        for k in positions:
+            entries[k] = 1
+        transformed = slow_mobius(entries)
+        poly = ZhegalkinPoly.from_coeff_bits(n, bits)
+        assert sorted(poly.terms) == positions
+        assert ZhegalkinPoly(n, positions).coeff_bits() == bits
+        assert list(poly.to_truth_table()) == transformed
+        table = TruthTable(n, bits)
+        assert list(table) == entries
+        assert TruthTable.from_values(entries) == table
+        assert TruthTable.from_values(map(bool, entries)) == table
+        coeffs = ZhegalkinPoly.from_truth_table(table).terms
+        assert coeffs == {k for k, b in enumerate(transformed) if b}
+        assert indices_from_mask(bits) == [k + 1 for k in positions]
+
+
+@pytest.mark.parametrize("arity", [1, 3, 5, 9, 12, 17])
+def test_vertex_and_index_masks_match_bit_reference(arity):
+    top = 1 << (arity - 1)
+    for mask in (0, (1 << arity) - 1, 1, top, random.Random(arity).getrandbits(arity)):
+        positions = bit_positions(mask, arity)
+        coords = [0] * arity
+        for k in positions:
+            coords[k] = 1
+        assert vertex_mask(coords, arity) == mask
+        assert vertex_mask(tuple(map(bool, coords)), arity) == mask
+        assert indices_from_mask(mask) == [k + 1 for k in positions]
 
 
 def test_restrict_examples():
@@ -372,9 +418,10 @@ def test_truth_table_validation():
         TruthTable(1, 4)
     with pytest.raises(ValueError):
         TruthTable.from_values([0, 1, 1])
-    for bad in ([0, 2], [0, 1.0]):
-        with pytest.raises(ValueError):
-            TruthTable.from_values(bad)
+    for bad in (2, -1, 1.0, None):
+        message = f"table entry must be 0 or 1, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruthTable.from_values([0, bad])
     assert TruthTable.from_values([False, True]) == TruthTable(1, 2)
     t = TruthTable.from_values([0, 0, 0, 1])
     assert t.bit(3) == 1 and t.bit(0) == 0

@@ -171,6 +171,14 @@ def test_stokes_mode_validation(capsys):
     assert code == 2
 
 
+def test_stokes_seed_needs_random(capsys):
+    for mode in (("--exhaustive",), ("(x2)*d{1}",)):
+        code, out, err = run_cli(capsys, "stokes", "--n", "2", *mode, "--seed", "5")
+        assert code == 2 and out == "" and "--seed" in err and "--random" in err
+    code, out, _ = run_cli(capsys, "stokes", "--n", "3", "--random", "50")
+    assert code == 0 and out == "checked=50 failed=0"
+
+
 def test_bench_range(capsys):
     code, _, _ = run_cli(capsys, "bench", "--n", "8")
     assert code == 2
