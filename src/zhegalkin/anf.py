@@ -14,15 +14,18 @@ Representation rule: the term set (a frozenset of monomial masks) is the
 only store for a polynomial.  A packed int (entry k = bit k) is the
 boundary format for truth tables and coefficient vectors; on it the
 table<->ANF conversion is a handful of word-wide shift/xor passes
-(`mobius_transform`).  Every crossing between the two is validated by
-`_check_packed` and goes through one transient intermediate, the flag
-bytes: one byte (0 or 1) per table entry.  `_positions` and `_pack` cross
-it, each linear in the table size.  The flags and their digit copy cost
-two bytes per entry while a crossing runs: under tracemalloc `coeff_bits`
-peaks at 34 MiB at n=24, against 6 MiB with the bit-packed buffer of
-2^21 bytes that the flags replaced.  The n=20 table -> polynomial ->
-table round trip peaks at 37 MiB, against 45 MiB before, because the
-positions now feed the term set without an intermediate list.
+(`mobius_transform`).  Every crossing between the two is validated once,
+at the public edge: a packed value from a caller by `_check_packed` (a
+`TruthTable` by its constructor), a term set by its arity; past that
+edge the butterfly runs unchecked.  Each crossing goes through one
+transient intermediate, the flag bytes: one byte (0 or 1) per table
+entry.  `_positions` and `_pack` cross it, each linear in the table
+size.  The flags and their digit copy cost two bytes per entry while a
+crossing runs: under tracemalloc `coeff_bits` peaks at 34 MiB at n=24,
+against 6 MiB with the bit-packed buffer of 2^21 bytes that the flags
+replaced.  The n=20 table -> polynomial -> table round trip peaks at 37
+MiB, against 45 MiB before, because the positions now feed the term set
+without an intermediate list.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
@@ -199,7 +202,11 @@ def mobius_transform(bits: int, arity: int) -> int:
     bit cleared.  Maps packed ANF coefficients to the packed truth table
     and, being self-inverse over F2, back again.
     """
-    _check_packed(bits, arity)
+    return _butterfly(_check_packed(bits, arity), arity)
+
+
+def _butterfly(bits: int, arity: int) -> int:
+    # unchecked: callers pass a value already validated at the public edge
     for i, mask in enumerate(_level_masks(arity)):
         bits ^= (bits & mask) << (1 << i)
     return bits
@@ -295,7 +302,9 @@ class ZhegalkinPoly(_Value):
     @classmethod
     def from_truth_table(cls, table: "TruthTable") -> "ZhegalkinPoly":
         """The unique polynomial realizing the given truth table."""
-        coeffs = mobius_transform(table.bits, table.arity)
+        if not isinstance(table, TruthTable):
+            raise TypeError("from_truth_table expects a TruthTable")
+        coeffs = _butterfly(table.bits, table.arity)
         return _make_poly(table.arity, frozenset(_positions(coeffs)))
 
     def coeff_bits(self) -> int:
@@ -305,7 +314,7 @@ class ZhegalkinPoly(_Value):
 
     def to_truth_table(self) -> "TruthTable":
         """Evaluate at every vertex via the packed butterfly."""
-        return TruthTable(self.arity, mobius_transform(self.coeff_bits(), self.arity))
+        return _make_table(self.arity, _butterfly(self.coeff_bits(), self.arity))
 
     def evaluate(self, vertex) -> int:
         """Value at a vertex: XOR over terms contained in the vertex's support."""
@@ -360,8 +369,10 @@ class ZhegalkinPoly(_Value):
         pairs = len(self.terms) * len(other.terms)
         if n <= MAX_DENSE_ARITY and pairs > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
             # the product is the pointwise AND of the two truth tables
-            bits = self.to_truth_table().bits & other.to_truth_table().bits
-            return ZhegalkinPoly.from_truth_table(TruthTable(n, bits))
+            width = 1 << n
+            bits = (_butterfly(_pack(self.terms, width), n)
+                    & _butterfly(_pack(other.terms, width), n))
+            return _make_poly(n, frozenset(_positions(_butterfly(bits, n))))
         # folded inline: feeding _xor_fold a generator ran ~1.2x slower (dense n=10)
         acc = set()
         for a in self.terms:
@@ -447,6 +458,14 @@ class TruthTable(_Value):
     def __str__(self):
         nibbles = ((1 << self.arity) + 3) // 4
         return f"{self.arity}:{self.bits:0{nibbles}X}"
+
+
+def _make_table(arity: int, bits: int) -> TruthTable:
+    # internal fast path: bits must already fit the 2^arity entries
+    t = _new(TruthTable)
+    _set_table_arity(t, arity)
+    _set_bits(t, bits)
+    return t
 
 
 _set_table_arity = TruthTable.arity.__set__

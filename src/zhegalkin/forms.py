@@ -126,8 +126,10 @@ class KForm(_Value):
         Costs per term, not per arity: each term m of the coefficient at
         `key` sends m ^ bit to `key | bit` for every set bit of m & ~key,
         so only the variables a term holds are visited.  Within one
-        coefficient m -> m ^ bit is injective, so nothing cancels there;
-        coefficients of different keys meet in `_accumulate`.
+        coefficient m -> m ^ bit is injective, so nothing cancels there.
+        Coefficients of different keys meet in one mutable term set per
+        output key, by symmetric difference, and each set is frozen into
+        a polynomial once at the end.
         """
         n = self.arity
         out_degree = min(self.degree + 1, n)
@@ -145,8 +147,14 @@ class KForm(_Value):
                     else:
                         partials[bit] = [m ^ bit]
             for bit, terms in partials.items():
-                _accumulate(acc, key | bit, _make_poly(n, frozenset(terms)))
-        return _make_form(n, out_degree, acc)
+                out = key | bit
+                if out in acc:
+                    acc[out].symmetric_difference_update(terms)
+                else:
+                    acc[out] = set(terms)
+        return _make_form(n, out_degree, {
+            out: _make_poly(n, frozenset(terms)) for out, terms in acc.items() if terms
+        })
 
     # a mappingproxy neither hashes nor pickles
     def __hash__(self):

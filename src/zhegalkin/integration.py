@@ -16,6 +16,12 @@ Conventions, fixed here and relied on by the checker:
   is the mask I itself.  So the boundary integral is the XOR over the
   terms of g(all-ones) ^ g(I).  At n=1 the term is a bare polynomial at
   I = 0 and each face is a single vertex: plain evaluation.
+
+Every monomial is 1 at the all-ones vertex, so g(all-ones) is the parity
+of g's term count.  A monomial is 1 at I iff it lacks x_k, so the terms
+without x_k cancel in g(all-ones) ^ g(I), which is the parity of the
+number of terms holding x_k.  The integrals read these parities; only a
+single face (k, 0) evaluates g, at I.
 """
 
 from __future__ import annotations
@@ -57,9 +63,8 @@ def integrate_top(w: KForm) -> int:
     n = w.arity
     if w.degree != n:
         raise ValueError(f"top integral needs degree {n}, got {w.degree}")
-    full = (1 << n) - 1
-    poly = w.coeffs.get(full)
-    return 0 if poly is None else poly.evaluate(full)
+    poly = w.coeffs.get((1 << n) - 1)
+    return 0 if poly is None else len(poly.terms) & 1
 
 
 def integrate_face(w: KForm, face) -> int:
@@ -71,7 +76,9 @@ def integrate_face(w: KForm, face) -> int:
     full = (1 << n) - 1
     key = full ^ (1 << (face.axis - 1))
     poly = w.coeffs.get(key)
-    return 0 if poly is None else poly.evaluate(full if face.level else key)
+    if poly is None:
+        return 0
+    return len(poly.terms) & 1 if face.level else poly.evaluate(key)
 
 
 def integrate_boundary(w: KForm) -> int:
@@ -80,10 +87,13 @@ def integrate_boundary(w: KForm) -> int:
     if w.degree != n - 1:
         raise ValueError(f"boundary integral needs degree {n - 1}, got {w.degree}")
     full = (1 << n) - 1
-    total = 0
+    holding = 0
     for key, poly in w.coeffs.items():
-        total ^= poly.evaluate(full) ^ poly.evaluate(key)
-    return total
+        axis = full ^ key
+        for m in poly.terms:
+            if m & axis:
+                holding += 1
+    return holding & 1
 
 
 class StokesReport(namedtuple("StokesReport", "lhs rhs passed form")):

@@ -228,6 +228,16 @@ def test_d_squared_is_zero_random():
                 assert w.d().d().is_zero
 
 
+def test_d_squared_is_zero_on_every_basis_form():
+    # d is F2-linear, so d(d(w)) = 0 on the 4^n forms x^m d{I} proves it for
+    # every form at that arity; two keys of dw meet again at each key of ddw
+    for n in range(1, 7):
+        for key in range(1 << n):
+            for m in range(1 << n):
+                w = KForm(n, key.bit_count(), {key: ZhegalkinPoly(n, [m])})
+                assert w.d().d().is_zero
+
+
 def test_d_squared_is_zero_exhaustive_n2_oneforms():
     for b1 in range(16):
         for b2 in range(16):

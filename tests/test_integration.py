@@ -117,11 +117,27 @@ def test_integration_is_additive():
         a = random_form(rng, n, n - 1)
         b = random_form(rng, n, n - 1)
         assert integrate_boundary(a + b) == integrate_boundary(a) ^ integrate_boundary(b)
+        # with the line above: both sides of stokes_check are linear in w
+        assert stokes_check(a + b).lhs == stokes_check(a).lhs ^ stokes_check(b).lhs
         face = Face(rng.randrange(1, n + 1), rng.randrange(2))
         assert integrate_face(a + b, face) == integrate_face(a, face) ^ integrate_face(b, face)
         ta = random_form(rng, n, n)
         tb = random_form(rng, n, n)
         assert integrate_top(ta + tb) == integrate_top(ta) ^ integrate_top(tb)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_stokes_holds_on_every_basis_form(n):
+    # both sides are F2-linear in w (test_integration_is_additive), so
+    # passing on the n * 2^n forms x^m d{[n] minus k} proves the identity
+    # for every (n-1)-form; each side must read the raw bit "x_k divides x^m"
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        key = full ^ (1 << (k - 1))
+        for m in range(1 << n):
+            report = stokes_check(KForm(n, n - 1, {key: ZhegalkinPoly(n, [m])}))
+            expected = (m >> (k - 1)) & 1
+            assert (report.lhs, report.rhs, report.passed) == (expected, expected, True)
 
 
 def test_stokes_check_example():
