@@ -21,11 +21,7 @@ edge the butterfly runs unchecked.  Each crossing goes through one
 transient intermediate, the flag bytes: one byte (0 or 1) per table
 entry.  `_positions` and `_pack` cross it, each linear in the table
 size.  The flags and their digit copy cost two bytes per entry while a
-crossing runs: under tracemalloc `coeff_bits` peaks at 34 MiB at n=24,
-against 6 MiB with the bit-packed buffer of 2^21 bytes that the flags
-replaced.  The n=20 table -> polynomial -> table round trip peaks at 37
-MiB, against 45 MiB before, because the positions now feed the term set
-without an intermediate list.
+crossing runs: under tracemalloc `coeff_bits` peaks at 34 MiB at n=24.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
@@ -61,14 +57,20 @@ MAX_DENSE_ARITY = 24
 _DENSE_PRODUCT_OVERHEAD = 256
 
 
-def _check_arity(arity) -> int:
-    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
-        raise ValueError(f"arity must be a positive integer, got {arity!r}")
-    return arity
+def _check_positive(value, what: str = "arity") -> int:
+    """An arity, count or repetition number is an int >= 1, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def _check_same_arity(a, b):
+    if a.arity != b.arity:
+        raise ValueError(f"arity mismatch: {a.arity} vs {b.arity}")
 
 
 def _check_dense_arity(arity) -> int:
-    _check_arity(arity)
+    _check_positive(arity)
     if arity > MAX_DENSE_ARITY:
         raise ValueError(
             f"dense truth tables support arity <= {MAX_DENSE_ARITY}, got {arity}"
@@ -261,7 +263,7 @@ class ZhegalkinPoly(_Value):
     __slots__ = __match_args__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms=()):
-        _check_arity(arity)
+        _check_positive(arity)
         terms = list(terms)
         for m in terms:
             if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m >> arity:
@@ -282,14 +284,14 @@ class ZhegalkinPoly(_Value):
     @classmethod
     def constant(cls, arity: int, value: int) -> "ZhegalkinPoly":
         """The constant function `value` at the given arity."""
-        _check_arity(arity)
+        _check_positive(arity)
         _check_bit(value, "constant")
         return _make_poly(arity, frozenset({0}) if value else frozenset())
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "ZhegalkinPoly":
         """The projection x_index (1-based)."""
-        _check_arity(arity)
+        _check_positive(arity)
         _check_index(index, arity)
         return _make_poly(arity, frozenset({1 << (index - 1)}))
 
@@ -345,26 +347,16 @@ class ZhegalkinPoly(_Value):
         bit = 1 << (index - 1)
         return _make_poly(self.arity, frozenset(m & ~bit for m in self.terms if m & bit))
 
-    def degree(self):
-        """Largest monomial size, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(m.bit_count() for m in self.terms)
-
-    def _check_same_arity(self, other: "ZhegalkinPoly"):
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
     def __add__(self, other):
         if not isinstance(other, ZhegalkinPoly):
             return NotImplemented
-        self._check_same_arity(other)
+        _check_same_arity(self, other)
         return _make_poly(self.arity, self.terms ^ other.terms)
 
     def __mul__(self, other):
         if not isinstance(other, ZhegalkinPoly):
             return NotImplemented
-        self._check_same_arity(other)
+        _check_same_arity(self, other)
         n = self.arity
         pairs = len(self.terms) * len(other.terms)
         if n <= MAX_DENSE_ARITY and pairs > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
@@ -440,11 +432,6 @@ class TruthTable(_Value):
         for b in vals:
             _check_bit(b, "table entry")
         return cls(n, _from_flags(bytearray(vals)))
-
-    def bit(self, k: int) -> int:
-        if not 0 <= k < (1 << self.arity):
-            raise ValueError(f"entry index {k} out of range")
-        return (self.bits >> k) & 1
 
     def __len__(self):
         return 1 << self.arity

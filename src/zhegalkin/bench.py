@@ -4,38 +4,21 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 
-from .anf import MAX_DENSE_ARITY, mobius_transform
+from .anf import MAX_DENSE_ARITY, _check_positive, mobius_transform
 
-__all__ = ["BENCH_MAX_ARITY", "BENCH_MIN_ARITY", "TransformBenchReport", "run_transform_benchmark"]
+__all__ = ["TransformBenchReport", "run_transform_benchmark"]
 
 BENCH_MIN_ARITY = 10
 BENCH_MAX_ARITY = MAX_DENSE_ARITY
 
 
-class TransformBenchReport:
-    """Timings of `reps` forward+inverse transform passes at one arity."""
+class TransformBenchReport(namedtuple("TransformBenchReport", "arity reps times")):
+    """Timings of `reps` forward+inverse transform passes at one arity:
+    `times` holds the seconds of each pass."""
 
-    __slots__ = ("arity", "reps", "times")
-
-    def __init__(self, arity: int, reps: int, times=()):
-        self.arity = arity
-        self.reps = reps
-        self.times = list(times)  # seconds per forward+inverse pass
-
-    def __repr__(self):
-        return (
-            f"TransformBenchReport(arity={self.arity!r}, reps={self.reps!r},"
-            f" times={self.times!r})"
-        )
-
-    @property
-    def entries(self) -> int:
-        return 1 << self.arity
-
-    @property
-    def min_seconds(self) -> float:
-        return min(self.times)
+    __slots__ = ()
 
     @property
     def median_seconds(self) -> float:
@@ -45,17 +28,15 @@ class TransformBenchReport:
         mid = len(ordered) // 2
         return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
-    @property
-    def entries_per_second(self) -> float:
-        # two transforms per timed pass
-        return 2 * self.entries / self.median_seconds
-
     def __str__(self):
+        entries = 1 << self.arity
+        median = self.median_seconds
         return (
-            f"n={self.arity} entries={self.entries} reps={self.reps} "
-            f"min={self.min_seconds * 1e3:.2f}ms "
-            f"median={self.median_seconds * 1e3:.2f}ms "
-            f"throughput={self.entries_per_second / 1e6:.1f}Mentry/s "
+            f"n={self.arity} entries={entries} reps={self.reps} "
+            f"min={min(self.times) * 1e3:.2f}ms "
+            f"median={median * 1e3:.2f}ms "
+            # two transforms per timed pass
+            f"throughput={2 * entries / median / 1e6:.1f}Mentry/s "
             "round-trip=verified"
         )
 
@@ -70,19 +51,18 @@ def run_transform_benchmark(arity: int, reps: int = 5, seed=None) -> TransformBe
         raise ValueError(
             f"benchmark arity must be {BENCH_MIN_ARITY}..{BENCH_MAX_ARITY}, got {arity}"
         )
-    if reps < 1:
-        raise ValueError(f"reps must be positive, got {reps}")
+    _check_positive(reps, "reps")
     rng = random.Random(seed)
     width = 1 << arity
     mobius_transform(0, arity)  # warm the per-arity mask cache outside timing
-    report = TransformBenchReport(arity=arity, reps=reps)
+    times = []
     for _ in range(reps):
         table = rng.getrandbits(width)
         start = time.perf_counter()
         spectrum = mobius_transform(table, arity)
         back = mobius_transform(spectrum, arity)
         ok = back == table
-        report.times.append(time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
         if not ok:
             raise RuntimeError(f"round-trip verification failed at n={arity}")
-    return report
+    return TransformBenchReport(arity, reps, tuple(times))

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from .anf import ZhegalkinPoly
 from .bench import BENCH_MAX_ARITY, BENCH_MIN_ARITY, run_transform_benchmark
 from .exprs import ParseError, expr_to_anf, parse_expr
 from .integration import (
-    Face,
     integrate_boundary,
     integrate_face,
     integrate_top,
@@ -39,7 +39,7 @@ def _require_n(args) -> int:
     return args.n
 
 
-def _face_arg(text: str) -> Face:
+def _face_arg(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected I,J")
@@ -47,7 +47,7 @@ def _face_arg(text: str) -> Face:
         axis, level = int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError("expected integers I,J") from None
-    return Face(axis, level)
+    return axis, level
 
 
 def _read_poly(args) -> ZhegalkinPoly:
@@ -154,36 +154,34 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand but bench takes --n as an option; bench requires it
+    n_option = argparse.ArgumentParser(add_help=False)
+    n_option.add_argument("--n", type=int, help="number of variables")
+    add_parser = partial(sub.add_parser, parents=[n_option])
 
-    p = sub.add_parser("anf", help="convert an n:HEX table, ANF or expression to ANF")
-    p.add_argument("--n", type=int, help="number of variables")
+    p = add_parser("anf", help="convert an n:HEX table, ANF or expression to ANF")
     p.add_argument("input", help='"n:HEX", ANF text, expression like "x1 | x2", or -')
     p.set_defaults(handler=_cmd_anf)
 
-    p = sub.add_parser("table", help="convert an expression or ANF to n:HEX")
-    p.add_argument("--n", type=int, help="number of variables")
+    p = add_parser("table", help="convert an expression or ANF to n:HEX")
     p.add_argument("input", help="expression or ANF text, or -")
     p.set_defaults(handler=_cmd_table)
 
-    p = sub.add_parser("derive", help="Boolean partial derivative of an ANF")
-    p.add_argument("--n", type=int, help="number of variables")
+    p = add_parser("derive", help="Boolean partial derivative of an ANF")
     p.add_argument("--var", type=int, required=True, help="variable index (1-based)")
     p.add_argument("input", help="ANF text, or -")
     p.set_defaults(handler=_cmd_derive)
 
-    p = sub.add_parser("d", help="exterior derivative of a form")
-    p.add_argument("--n", type=int, help="number of variables")
+    p = add_parser("d", help="exterior derivative of a form")
     p.add_argument("input", help="form text (bare ANF = 0-form), or -")
     p.set_defaults(handler=_cmd_d)
 
-    p = sub.add_parser("wedge", help="wedge product of two forms")
-    p.add_argument("--n", type=int, help="number of variables")
+    p = add_parser("wedge", help="wedge product of two forms")
     p.add_argument("a", help="left form text")
     p.add_argument("b", help="right form text")
     p.set_defaults(handler=_cmd_wedge)
 
-    p = sub.add_parser("integrate", help="integrate a form over cube or boundary")
-    p.add_argument("--n", type=int, help="number of variables")
+    p = add_parser("integrate", help="integrate a form over cube or boundary")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--top", action="store_true", help="whole cube (degree n)")
     mode.add_argument("--face", type=_face_arg, metavar="I,J", help="one face (degree n-1)")
@@ -191,8 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="form text, or -")
     p.set_defaults(handler=_cmd_integrate)
 
-    p = sub.add_parser("stokes", help="check the boundary identity")
-    p.add_argument("--n", type=int, help="number of variables")
+    p = add_parser("stokes", help="check the boundary identity")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true", help="sweep every form (n <= 2)")
     mode.add_argument("--random", type=int, metavar="COUNT", help="sweep COUNT random forms")

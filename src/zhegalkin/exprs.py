@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .anf import ZhegalkinPoly, _check_arity, _Value
+from .anf import ZhegalkinPoly, _check_positive, _Value
 
 __all__ = [
     "And",
@@ -252,7 +252,7 @@ def parse_expr(source: str) -> Expr:
 
 def expr_to_anf(expr: Expr, arity: int) -> ZhegalkinPoly:
     """Translate an expression tree into its canonical polynomial."""
-    _check_arity(arity)
+    _check_positive(arity)
     return _translate(expr, arity)
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .anf import (ZhegalkinPoly, _check_arity, _make_poly, _new, _Value,
-                  indices_from_mask, mask_from_indices)
+from .anf import (ZhegalkinPoly, _check_positive, _check_same_arity, _make_poly, _new,
+                  _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
 
@@ -21,15 +21,14 @@ __all__ = ["KForm"]
 class KForm(_Value):
     """A homogeneous degree-k form over the n-variable ANF ring.
 
-    Degree-0 forms carry a single coefficient at the empty index set and
-    behave as plain polynomials (`as_poly`).  The coefficient map is a
-    read-only view.
+    Degree-0 forms carry a single coefficient at the empty index set.
+    The coefficient map is a read-only view.
     """
 
     __slots__ = __match_args__ = ("arity", "degree", "coeffs")
 
     def __init__(self, arity: int, degree: int, coeffs=None):
-        _check_arity(arity)
+        _check_positive(arity)
         if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= arity:
             raise ValueError(f"degree {degree!r} out of range 0..{arity}")
         clean = {}
@@ -77,14 +76,8 @@ class KForm(_Value):
         got = self.coeffs.get(key)
         return got if got is not None else ZhegalkinPoly.zero(self.arity)
 
-    def as_poly(self) -> ZhegalkinPoly:
-        if self.degree != 0:
-            raise ValueError(f"a degree-{self.degree} form is not a polynomial")
-        return self.coefficient(0)
-
     def _check_compatible(self, other: "KForm", *, same_degree: bool):
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+        _check_same_arity(self, other)
         if same_degree and self.degree != other.degree:
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree} "

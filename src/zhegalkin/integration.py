@@ -29,11 +29,10 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .anf import ZhegalkinPoly, _check_arity, _check_bit, _check_index
+from .anf import ZhegalkinPoly, _check_bit, _check_index, _check_positive
 from .forms import KForm
 
 __all__ = [
-    "Face",
     "StokesReport",
     "SweepSummary",
     "integrate_boundary",
@@ -42,19 +41,6 @@ __all__ = [
     "stokes_check",
     "stokes_sweep",
 ]
-
-
-class Face(namedtuple("Face", "axis level")):
-    """The face of the cube with coordinate `axis` (1-based) equal to `level`."""
-
-    __slots__ = ()
-
-
-def _check_face(arity: int, face) -> Face:
-    face = Face(*face)
-    _check_index(face.axis, arity)
-    _check_bit(face.level, "face level")
-    return face
 
 
 def integrate_top(w: KForm) -> int:
@@ -68,17 +54,19 @@ def integrate_top(w: KForm) -> int:
 
 
 def integrate_face(w: KForm, face) -> int:
-    """Integral of an (n-1)-form over one face."""
+    """Integral of an (n-1)-form over one face: the pair (axis, level),
+    the half of the cube with coordinate `axis` (1-based) equal to `level`."""
     n = w.arity
     if w.degree != n - 1:
         raise ValueError(f"face integral needs degree {n - 1}, got {w.degree}")
-    face = _check_face(n, face)
-    full = (1 << n) - 1
-    key = full ^ (1 << (face.axis - 1))
+    axis, level = face
+    _check_index(axis, n)
+    _check_bit(level, "face level")
+    key = ((1 << n) - 1) ^ (1 << (axis - 1))
     poly = w.coeffs.get(key)
     if poly is None:
         return 0
-    return len(poly.terms) & 1 if face.level else poly.evaluate(key)
+    return len(poly.terms) & 1 if level else poly.evaluate(key)
 
 
 def integrate_boundary(w: KForm) -> int:
@@ -149,13 +137,13 @@ def stokes_sweep(
     fixed seed the sample sequence is deterministic and the reported
     counterexample, if any, is the one with the lowest sample index.
     """
-    _check_arity(arity)
+    _check_positive(arity)
     if exhaustive == (count is not None):
         raise ValueError("choose exactly one of exhaustive or count")
     if exhaustive and arity > 2:
         raise ValueError(f"exhaustive sweep supports arity <= 2, got {arity}")
-    if count is not None and count < 1:
-        raise ValueError(f"sample count must be positive, got {count}")
+    if count is not None:
+        _check_positive(count, "sample count")
 
     slots = _slot_masks(arity)
     checked = 0

@@ -9,7 +9,7 @@ dual basis, where d_i(D_j) is 1 exactly when i = j.
 
 from __future__ import annotations
 
-from .anf import ZhegalkinPoly, _check_arity, _check_index, _Value
+from .anf import ZhegalkinPoly, _check_index, _check_positive, _check_same_arity, _Value
 from .forms import KForm
 
 __all__ = ["SecantElement", "differential", "pair"]
@@ -21,7 +21,7 @@ class SecantElement(_Value):
     __slots__ = __match_args__ = ("arity", "coeffs")
 
     def __init__(self, arity: int, coeffs):
-        _check_arity(arity)
+        _check_positive(arity)
         coeffs = tuple(coeffs)
         if len(coeffs) != arity:
             raise ValueError(f"expected {arity} coefficients, got {len(coeffs)}")
@@ -32,13 +32,9 @@ class SecantElement(_Value):
         _set_coeffs(self, coeffs)
 
     @classmethod
-    def zero(cls, arity: int) -> "SecantElement":
-        return cls(arity, [ZhegalkinPoly.zero(arity)] * arity)
-
-    @classmethod
     def basis(cls, arity: int, index: int) -> "SecantElement":
         """The unit element D_index."""
-        _check_arity(arity)
+        _check_positive(arity)
         _check_index(index, arity)
         coeffs = [ZhegalkinPoly.zero(arity)] * arity
         coeffs[index - 1] = ZhegalkinPoly.one(arity)
@@ -46,8 +42,7 @@ class SecantElement(_Value):
 
     def apply(self, g: ZhegalkinPoly) -> ZhegalkinPoly:
         """Act on a polynomial: sum_i f_i * (partial of g in x_i)."""
-        if g.arity != self.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {g.arity}")
+        _check_same_arity(self, g)
         acc = ZhegalkinPoly.zero(self.arity)
         for i, f in enumerate(self.coeffs, start=1):
             if f.terms:
@@ -57,8 +52,7 @@ class SecantElement(_Value):
     def __add__(self, other):
         if not isinstance(other, SecantElement):
             return NotImplemented
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+        _check_same_arity(self, other)
         return SecantElement(
             self.arity, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -90,8 +84,7 @@ def pair(omega: KForm, phi: SecantElement) -> ZhegalkinPoly:
     """
     if omega.degree != 1:
         raise ValueError(f"pairing requires a 1-form, got degree {omega.degree}")
-    if omega.arity != phi.arity:
-        raise ValueError(f"arity mismatch: {omega.arity} vs {phi.arity}")
+    _check_same_arity(omega, phi)
     acc = ZhegalkinPoly.zero(omega.arity)
     for i, f in enumerate(phi.coeffs, start=1):
         g = omega.coeffs.get(1 << (i - 1))

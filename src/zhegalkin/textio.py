@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_arity, _make_poly
+from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_positive, _make_poly
 from .exprs import ParseError, _lex, _number
 from .forms import KForm
 from .secant import SecantElement
@@ -114,7 +114,7 @@ def _read_anf(tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int
 
 def parse_anf(source: str, arity: int) -> ZhegalkinPoly:
     """Parse canonical ANF text into a polynomial of the given arity."""
-    _check_arity(arity)
+    _check_positive(arity)
     return _read_anf(_tokens(source), 0, arity, "end")[0]
 
 
@@ -178,7 +178,7 @@ def parse_form(source: str, arity: int, degree: int | None = None) -> KForm:
     degree-ambiguous texts ("0" and all-zero coefficients) are placed at
     that degree.
     """
-    _check_arity(arity)
+    _check_positive(arity)
     if degree is not None and not 0 <= degree <= arity:
         raise ValueError(f"degree {degree!r} out of range 0..{arity}")
     tokens = _tokens(source)
@@ -196,7 +196,7 @@ def parse_form(source: str, arity: int, degree: int | None = None) -> KForm:
 
 def parse_secant(source: str, arity: int) -> SecantElement:
     """Parse operator-field text "(ANF)*D<i> + ..."; missing slots are zero."""
-    _check_arity(arity)
+    _check_positive(arity)
     tokens = _tokens(source)
     coeffs = [ZhegalkinPoly.zero(arity)] * arity
     if len(tokens) == 2 and tokens[0][1] == "0":

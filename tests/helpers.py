@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths they are used to
 check: truth tables are rebuilt by pointwise `evaluate` calls, products
 by counting term pairs, face integrals by summing over the face's
 vertices, exterior derivatives by cofactor sums, the reference transform
-walks plain lists, ANF text is read by a reader with its own lexer, and
-expressions are evaluated directly on the tree.
+walks plain lists, the butterfly's level masks are built from bytes, ANF
+text is read by a reader with its own lexer, and expressions are
+evaluated directly on the tree.
 """
 
 import os
@@ -192,6 +193,18 @@ def slow_mobius(values):
             if k & bit:
                 out[k] ^= out[k ^ bit]
     return out
+
+
+def reference_level_mask(n, i):
+    """The 2^n-bit int whose bit k is set iff bit i of k is clear, built
+    from bytes: runs of 2^i ones and 2^i zeros, low entries first."""
+    if i >= 3:
+        pattern = b"\xff" * (1 << (i - 3)) + b"\x00" * (1 << (i - 3))
+    else:
+        pattern = bytes([sum(1 << k for k in range(8) if not k >> i & 1)])
+    width = 1 << n
+    data = pattern * (max(width // 8, 1) // len(pattern))
+    return int.from_bytes(data, "little") & ((1 << width) - 1)
 
 
 def eval_expr(expr, vertex):

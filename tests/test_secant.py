@@ -118,7 +118,7 @@ def test_secant_apply():
     assert str(SecantElement.basis(2, 1).apply(g)) == "x2"
     phi = SecantElement(2, [ZhegalkinPoly.variable(2, 2), ZhegalkinPoly.variable(2, 1)])
     assert str(phi.apply(g)) == "x1 + x2"
-    assert SecantElement.zero(2).apply(g) == ZhegalkinPoly.zero(2)
+    assert SecantElement(2, [ZhegalkinPoly.zero(2)] * 2).apply(g) == ZhegalkinPoly.zero(2)
     with pytest.raises(ValueError):
         phi.apply(ZhegalkinPoly.zero(3))
 
@@ -186,6 +186,23 @@ def test_pair_matches_apply():
         assert pair(differential(f), phi) == phi.apply(f)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_matches_apply_on_every_basis_pair(n):
+    # Both sides of pair(differential(f), phi) == phi.apply(f) are additive
+    # in f and in phi, and scaling phi by a polynomial scales both
+    # (test_pair_additivity).  Every phi is sum_i f_i*D_i, so the identity
+    # on the n * 2^n pairs (x^m, D_i) proves it for every f and phi.  Each
+    # side must read the raw partial: x^m without x_i if x_i divides it.
+    for i in range(1, n + 1):
+        unit = SecantElement.basis(n, i)
+        bit = 1 << (i - 1)
+        for m in range(1 << n):
+            f = ZhegalkinPoly(n, [m])
+            expected = ZhegalkinPoly(n, [m ^ bit] if m & bit else [])
+            assert pair(differential(f), unit) == expected
+            assert unit.apply(f) == expected
+
+
 def test_pair_zero_form():
     phi = SecantElement.basis(3, 2)
     assert pair(KForm.zero(3, 1), phi) == ZhegalkinPoly.zero(3)
@@ -200,19 +217,29 @@ def test_pair_validation():
 
 
 def test_pair_additivity():
+    # both sides of pair(differential(f), phi) == phi.apply(f) are additive
+    # in f and in phi, and scaling phi by h scales both by h
     rng = random.Random(59)
-    for _ in range(100):
+    for _ in range(200):
         n = rng.randrange(1, 5)
-        w1 = differential(random_poly(rng, n))
-        w2 = differential(random_poly(rng, n))
+        f, g = random_poly(rng, n), random_poly(rng, n)
+        w1 = differential(f)
+        w2 = differential(g)
         phi = SecantElement(n, [random_poly(rng, n) for _ in range(n)])
         psi = SecantElement(n, [random_poly(rng, n) for _ in range(n)])
         assert pair(w1 + w2, phi) == pair(w1, phi) + pair(w2, phi)
+        assert pair(differential(f + g), phi) == pair(w1, phi) + pair(w2, phi)
         assert pair(w1, phi + psi) == pair(w1, phi) + pair(w1, psi)
+        assert phi.apply(f + g) == phi.apply(f) + phi.apply(g)
+        assert (phi + psi).apply(f) == phi.apply(f) + psi.apply(f)
+        h = random_poly(rng, n)
+        scaled = SecantElement(n, [h * c for c in phi.coeffs])
+        assert pair(w1, scaled) == h * pair(w1, phi)
+        assert scaled.apply(f) == h * phi.apply(f)
 
 
 def test_secant_str():
     phi = SecantElement(2, [ZhegalkinPoly.variable(2, 2), ZhegalkinPoly.variable(2, 1)])
     assert str(phi) == "(x2)*D1 + (x1)*D2"
-    assert str(SecantElement.zero(3)) == "0"
+    assert str(SecantElement(3, [ZhegalkinPoly.zero(3)] * 3)) == "0"
     assert str(SecantElement.basis(2, 2)) == "(1)*D2"
