@@ -15,6 +15,11 @@ canonical formats of `textio`, where a whole monomial such as "x1*x3" is
 one token; in an expression its "*" is an unexpected character, as any
 other.  Translation uses the Boolean-ring identities: a&b is a*b, a|b is
 a+b+a*b, !a is 1+a, and ^ is ring addition.
+
+The parser reads the lexer's tokens in place and checks each one as it
+reads it.  Lexical errors (bad numbers, names, characters) come first,
+the leftmost anywhere: when parsing fails, all tokens are checked again
+before the syntax error is raised, so one after the failure still wins.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ __all__ = [
     "parse_expr",
 ]
 
-# Nesting bound so pathological inputs fail cleanly; each level recurses
-# through the whole precedence chain, so keep well under the interpreter's
-# stack limit.
+# Nesting bound so pathological inputs fail cleanly.  Each "(" recurses
+# through the whole precedence chain (5 frames), each "!" through one, so
+# 120 levels stay well under the interpreter's stack limit.
 _MAX_DEPTH = 120
 
 
@@ -113,6 +118,8 @@ _set_right = _Binary.right.__set__
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
 _OPERATORS = frozenset("&|^!()") | {"end"}
+# the binary operators by text, loosest first; words map onto them
+_LEVELS = (("|", Or), ("^", Xor), ("&", And))
 
 # The one lexer for every text format: monomials x<i>*x<j>*..., ASCII
 # words, ASCII numbers, and any other non-space character on its own.
@@ -145,109 +152,82 @@ def _number(digits: str, pos: int) -> int:
         raise ParseError(f"number too long ({len(digits)} digits)", pos) from None
 
 
-class _Parser:
-    def __init__(self, source: str):
-        # Lexical errors come first, left to right; tokens become
-        # (kind, value, pos) with names mapped onto operators.
-        self.tokens = []
-        for kind, text, pos in _lex(source):
-            value = 0
-            if kind == "var":
-                head = text.split("*", 1)[0].rstrip()
-                value = _number(head[1:], pos)
-                if value < 1:
-                    raise ParseError("variable index must be at least 1", pos)
-                if head != text:  # a monomial; expressions spell AND as "&"
-                    raise ParseError("unexpected character '*'", pos + text.index("*"))
-            elif kind == "num":
-                if text not in ("0", "1"):
-                    raise ParseError(f"constants are 0 and 1, got {text!r}", pos)
-                value = _number(text, pos)
-            elif kind == "name":
-                if text == "x":
-                    raise ParseError("expected digits after 'x'", pos + 1)
-                if text not in _WORD_OPS:
-                    raise ParseError(f"unknown name {text!r}", pos)
-                kind = _WORD_OPS[text]
-            elif kind not in _OPERATORS:
-                raise ParseError(f"unexpected character {kind!r}", pos)
-            self.tokens.append((kind, value, pos))
-        self.i = 0
-        self.depth = 0
+def _check_token(kind: str, text: str, pos: int) -> int:
+    """The value of a var or num token (else 0); raises its lexical error."""
+    if kind == "var":
+        head = text.split("*", 1)[0].rstrip()
+        value = _number(head[1:], pos)
+        if value < 1:
+            raise ParseError("variable index must be at least 1", pos)
+        if head != text:  # a monomial; expressions spell AND as "&"
+            raise ParseError("unexpected character '*'", pos + text.index("*"))
+        return value
+    if kind == "num":
+        if text not in ("0", "1"):
+            raise ParseError(f"constants are 0 and 1, got {text!r}", pos)
+        return _number(text, pos)
+    if kind == "name":
+        if text == "x":
+            raise ParseError("expected digits after 'x'", pos + 1)
+        if text not in _WORD_OPS:
+            raise ParseError(f"unknown name {text!r}", pos)
+    elif kind not in _OPERATORS:
+        raise ParseError(f"unexpected character {kind!r}", pos)
+    return 0
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
 
-    def advance(self) -> tuple[str, int, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _expect(tokens, i: int, kind: str) -> int:
+    if tokens[i][0] != kind:
+        raise ParseError(f"expected {kind!r}", tokens[i][2])
+    return i + 1
 
-    def _enter(self, pos: int):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
+
+def _read_binary(tokens, i: int, level: int, depth: int) -> tuple[Expr, int]:
+    """The left-deep chain of _LEVELS[level] operators at tokens[i], whose
+    operands are the next level's chains, and the index after it."""
+    if level == len(_LEVELS):
+        return _read_unary(tokens, i, depth)
+    op, node = _LEVELS[level]
+    left, i = _read_binary(tokens, i, level + 1, depth)
+    while _WORD_OPS.get(tokens[i][1], tokens[i][1]) == op:
+        right, i = _read_binary(tokens, i + 1, level + 1, depth)
+        left = node(left, right)
+    return left, i
+
+
+def _read_unary(tokens, i: int, depth: int) -> tuple[Expr, int]:
+    kind, text, pos = tokens[i]
+    op = _WORD_OPS.get(text, text)
+    if op == "!" or op == "(":
+        if depth >= _MAX_DEPTH:
             raise ParseError("expression nested too deeply", pos)
-
-    def parse(self) -> Expr:
-        expr = self.or_level()
-        kind, _, pos = self.tokens[self.i]
-        if kind != "end":
-            raise ParseError("unexpected trailing input", pos)
-        return expr
-
-    def or_level(self) -> Expr:
-        left = self.xor_level()
-        while self.peek() == "|":
-            self.i += 1
-            left = Or(left, self.xor_level())
-        return left
-
-    def xor_level(self) -> Expr:
-        left = self.and_level()
-        while self.peek() == "^":
-            self.i += 1
-            left = Xor(left, self.and_level())
-        return left
-
-    def and_level(self) -> Expr:
-        left = self.unary()
-        while self.peek() == "&":
-            self.i += 1
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Expr:
-        kind, _, pos = self.tokens[self.i]
-        if kind == "!":
-            self.i += 1
-            self._enter(pos)
-            child = self.unary()
-            self.depth -= 1
-            return Not(child)
-        return self.atom()
-
-    def atom(self) -> Expr:
-        kind, value, pos = self.advance()
-        if kind == "num":
-            return Const(value)
-        if kind == "var":
-            return Var(value)
-        if kind == "(":
-            self._enter(pos)
-            inner = self.or_level()
-            self.depth -= 1
-            kind, _, pos = self.advance()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            return inner
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected token {kind!r}", pos)
+        if op == "!":
+            child, i = _read_unary(tokens, i + 1, depth + 1)
+            return Not(child), i
+        inner, i = _read_binary(tokens, i + 1, 0, depth + 1)
+        return inner, _expect(tokens, i, ")")
+    value = _check_token(kind, text, pos)
+    if kind == "var":
+        return Var(value), i + 1
+    if kind == "num":
+        return Const(value), i + 1
+    message = "unexpected end of input" if kind == "end" else f"unexpected token {op!r}"
+    raise ParseError(message, pos)
 
 
 def parse_expr(source: str) -> Expr:
     """Parse an expression; raises ParseError with a position on bad input."""
-    return _Parser(source).parse()
+    tokens = _lex(source)
+    try:
+        expr, i = _read_binary(tokens, 0, 0, 0)
+        if tokens[i][0] != "end":
+            raise ParseError("unexpected trailing input", tokens[i][2])
+        return expr
+    except (ParseError, RecursionError):
+        # the tokens read so far passed; a lexical error after them wins
+        for token in tokens:
+            _check_token(*token)
+        raise
 
 
 def expr_to_anf(expr: Expr, arity: int) -> ZhegalkinPoly:

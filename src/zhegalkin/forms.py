@@ -76,18 +76,15 @@ class KForm(_Value):
         got = self.coeffs.get(key)
         return got if got is not None else ZhegalkinPoly.zero(self.arity)
 
-    def _check_compatible(self, other: "KForm", *, same_degree: bool):
+    def __add__(self, other):
+        if not isinstance(other, KForm):
+            return NotImplemented
         _check_same_arity(self, other)
-        if same_degree and self.degree != other.degree:
+        if self.degree != other.degree:
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree} "
                 "(mixed-degree sums are not supported)"
             )
-
-    def __add__(self, other):
-        if not isinstance(other, KForm):
-            return NotImplemented
-        self._check_compatible(other, same_degree=True)
         acc = dict(self.coeffs)
         for key, poly in other.coeffs.items():
             _accumulate(acc, key, poly)
@@ -101,7 +98,7 @@ class KForm(_Value):
         """
         if not isinstance(other, KForm):
             raise TypeError("wedge expects a KForm")
-        self._check_compatible(other, same_degree=False)
+        _check_same_arity(self, other)
         out_degree = min(self.degree + other.degree, self.arity)
         acc = {}
         for ka, fa in self.coeffs.items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_positive, _make_poly
-from .exprs import ParseError, _lex, _number
+from .exprs import ParseError, _expect, _lex, _number
 from .forms import KForm
 from .secant import SecantElement
 
@@ -43,12 +43,6 @@ def _tokens(source: str) -> list[tuple[str, str, int]]:
     if len(tokens) == 1:
         raise ParseError("empty input", tokens[0][2])
     return tokens
-
-
-def _expect(tokens, i: int, kind: str) -> int:
-    if tokens[i][0] != kind:
-        raise ParseError(f"expected {kind!r}", tokens[i][2])
-    return i + 1
 
 
 def _factor_at(text: str, pos: int, k: int) -> int:

@@ -1,7 +1,9 @@
 import io
 import random
+import shlex
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +204,19 @@ def test_fatal_exceptions_exit_without_traceback(capsys, monkeypatch, exc, code,
 
     monkeypatch.setattr(cli, "_cmd_anf", handler)
     assert run_cli(capsys, "anf", "--n", "2", "x1") == (code, "", message)
+
+
+def test_readme_cli_examples(capsys):
+    # each "zhegalkin ..." line of the README prints its "# ..." comment up
+    # to the first double space; bench's comment describes its output
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("zhegalkin ") and not line.startswith("zhegalkin bench ")]
+    assert len(lines) == 13
+    for line in lines:
+        command, _, comment = line.partition("#")
+        want = comment.strip().split("  ")[0]
+        assert run_cli(capsys, *shlex.split(command)[1:]) == (0, want, ""), line
 
 
 def test_stdin_input(capsys, monkeypatch):

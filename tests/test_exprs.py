@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -35,6 +36,11 @@ def test_nodes_are_values():
         "Or(left=And(left=Var(index=1), right=Not(child=Var(index=2))),"
         " right=Xor(left=Const(value=0), right=Var(index=3)))"
     )
+    # each binary operator adds a tree level; the README's limit is ~300
+    chain = parse_expr(" ^ ".join(["x1"] * 200))
+    assert pickle.loads(pickle.dumps(chain)) == chain == copy.deepcopy(chain)
+    assert hash(chain) == hash(parse_expr(" xor ".join(["x1"] * 200)))
+    assert repr(chain) == "Xor(left=" * 199 + "Var(index=1)" + ", right=Var(index=1))" * 199
 
 
 def test_nodes_are_immutable_and_check_arguments():
@@ -103,6 +109,11 @@ def test_parse_double_negation():
         ("x0*x1", 0),
         ("x1 *x0", 3),
         ("x1*", 2),
+        # lexical errors come first, wherever the parse fails
+        ("& foo", 2),
+        ("x1 x2 $", 6),
+        ("(" * 200 + "$", 200),
+        ("!" * 200 + "x0", 200),
     ],
 )
 def test_parse_errors_have_positions(src, where):
