@@ -11,17 +11,17 @@ the vertex index k holds the value of x_j, so entry k of the table is
 f(v_k).
 
 Representation rule: the term set (a frozenset of monomial masks) is the
-only store for a polynomial.  A packed int (entry k = bit k) is the
-boundary format for truth tables and coefficient vectors; on it the
-table<->ANF conversion is a handful of word-wide shift/xor passes
-(`mobius_transform`).  Every crossing between the two is validated once,
-at the public edge: a packed value from a caller by `_check_packed` (a
-`TruthTable` by its constructor), a term set by its arity; past that
-edge the butterfly runs unchecked.  Each crossing goes through one
-transient intermediate, the flag bytes: one byte (0 or 1) per table
-entry.  `_positions` and `_pack` cross it, each linear in the table
-size.  The flags and their digit copy cost two bytes per entry while a
-crossing runs: under tracemalloc `coeff_bits` peaks at 34 MiB at n=24.
+only store for a polynomial.  A vertex is an int mask (bit j-1 = x_j), and
+a packed int (entry k = bit k) is the one format for truth tables and
+coefficient vectors; on it the table<->ANF conversion is a handful of
+word-wide shift/xor passes (`mobius_transform`).  Every crossing between
+the two is validated once, at the public edge: a packed value from a
+caller by `_check_packed` (a `TruthTable` by its constructor), a term set
+by its arity; past that edge the butterfly runs unchecked.  Exactly two
+functions cross, each linear in the table size: `_positions` (packed int
+to ascending positions) and `_pack` (positions to packed int).  Packed
+tables are walked per entry and masks per set bit (`m & -m`), so a
+monomial or index set costs its factors, not its width.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
@@ -44,7 +44,6 @@ __all__ = [
     "indices_from_mask",
     "mask_from_indices",
     "mobius_transform",
-    "vertex_mask",
 ]
 
 # Dense (bit-packed) truth tables are capped here; 2^24 entries = 2 MiB.
@@ -91,31 +90,21 @@ def _check_index(index, arity) -> int:
     return index
 
 
-# The flag bytes are the one intermediate between a packed int and a term
-# set: one byte per table entry, 0 or 1, entry k at index k.  Both ways
-# between flags and a packed int are C-level string operations (binary
-# format, `bytes.translate`, `int(..., 2)`), and flags become positions
-# through `itertools.compress`; only `_pack` loops, one store per position.
+# `_positions` and `_pack` go through flag bytes, one byte (0 or 1) per
+# table entry, entry k at index k.  Both ways between flags and a packed
+# int are C-level string operations (binary format, `bytes.translate`,
+# `int(..., 2)`), and flags become positions through `itertools.compress`;
+# only `_pack` loops, one store per position.  The flags and their digit
+# copy cost two bytes per entry while a crossing runs: under tracemalloc
+# `coeff_bits` peaks at 34 MiB at n=24.
 _FLAG_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
 _DIGIT_OF_FLAG = bytes.maketrans(b"\0\1", b"01")
 
 
-def _flags(bits: int, width: int = 0) -> bytes:
-    """The flag bytes of `bits`, entry 0 first, padded to `width` entries."""
-    return bin(bits)[:1:-1].ljust(width, "0").encode().translate(_FLAG_OF_DIGIT)
-
-
-def _from_flags(flags: bytearray) -> int:
-    """The packed int whose entry k is flags[k]."""
-    digits = flags.translate(_DIGIT_OF_FLAG)
-    digits.reverse()  # in place: one copy of the flags, not two
-    return int(digits or b"0", 2)
-
-
-def _positions(bits: int, first: int = 0):
-    """Ascending positions of the set bits, numbered from `first`."""
-    flags = _flags(bits)
-    return compress(range(first, first + len(flags)), flags)
+def _positions(bits: int):
+    """Ascending positions of the set bits of a packed int."""
+    flags = bin(bits)[:1:-1].encode().translate(_FLAG_OF_DIGIT)
+    return compress(range(len(flags)), flags)
 
 
 def _pack(positions, width: int) -> int:
@@ -123,7 +112,9 @@ def _pack(positions, width: int) -> int:
     flags = bytearray(width)
     for p in positions:
         flags[p] = 1
-    return _from_flags(flags)
+    digits = flags.translate(_DIGIT_OF_FLAG)
+    digits.reverse()  # in place: one copy of the flags, not two
+    return int(digits or b"0", 2)
 
 
 def _check_packed(bits, arity) -> int:
@@ -160,24 +151,12 @@ def indices_from_mask(mask: int) -> list[int]:
     """Unpack a mask into ascending 1-based variable indices."""
     if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0:
         raise ValueError("mask must be a nonnegative int, not a bool")
-    return list(_positions(mask, 1))
-
-
-def vertex_mask(vertex, arity: int) -> int:
-    """Normalize a vertex (int mask or sequence of n bits) to an int mask.
-
-    In a bit sequence, element j-1 is the value of x_j.
-    """
-    if isinstance(vertex, int):
-        if isinstance(vertex, bool) or vertex < 0 or vertex >> arity:
-            raise ValueError(f"vertex {vertex!r} is not a mask of {arity} bits")
-        return vertex
-    bits = list(vertex)
-    if len(bits) != arity:
-        raise ValueError(f"vertex has {len(bits)} coordinates, expected {arity}")
-    for b in bits:
-        _check_bit(b, "vertex coordinate")
-    return _from_flags(bytearray(bits))
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length())
+        mask ^= low
+    return indices
 
 
 @lru_cache(maxsize=None)
@@ -318,12 +297,15 @@ class ZhegalkinPoly(_Value):
         """Evaluate at every vertex via the packed butterfly."""
         return _make_table(self.arity, _butterfly(self.coeff_bits(), self.arity))
 
-    def evaluate(self, vertex) -> int:
-        """Value at a vertex: XOR over terms contained in the vertex's support."""
-        v = vertex_mask(vertex, self.arity)
+    def evaluate(self, vertex: int) -> int:
+        """Value at a vertex, an int mask (bit j-1 = x_j): XOR over the
+        terms contained in the vertex's support."""
+        if (not isinstance(vertex, int) or isinstance(vertex, bool)
+                or vertex < 0 or vertex >> self.arity):
+            raise ValueError(f"vertex {vertex!r} is not a mask of {self.arity} bits")
         value = 0
         for m in self.terms:
-            if m & v == m:
+            if m & vertex == m:
                 value ^= 1
         return value
 
@@ -421,23 +403,6 @@ class TruthTable(_Value):
     def __init__(self, arity: int, bits: int):
         _set_bits(self, _check_packed(bits, arity))
         _set_table_arity(self, arity)
-
-    @classmethod
-    def from_values(cls, values) -> "TruthTable":
-        """Pack a sequence of 2^n bits (entry k first) into a table."""
-        vals = list(values)
-        n = max(len(vals), 1).bit_length() - 1
-        if len(vals) < 2 or len(vals) != 1 << n:
-            raise ValueError(f"table length {len(vals)} is not a power of two >= 2")
-        for b in vals:
-            _check_bit(b, "table entry")
-        return cls(n, _from_flags(bytearray(vals)))
-
-    def __len__(self):
-        return 1 << self.arity
-
-    def __iter__(self):
-        return iter(_flags(self.bits, 1 << self.arity))
 
     def __repr__(self):
         return f"TruthTable({self.arity}, {self.bits:#x})"

@@ -29,7 +29,8 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .anf import ZhegalkinPoly, _check_bit, _check_index, _check_positive
+from .anf import (ZhegalkinPoly, _check_bit, _check_dense_arity, _check_index,
+                  _check_positive)
 from .forms import KForm
 
 __all__ = [
@@ -144,6 +145,8 @@ def stokes_sweep(
         raise ValueError(f"exhaustive sweep supports arity <= 2, got {arity}")
     if count is not None:
         _check_positive(count, "sample count")
+        # each draw is a 2^n-bit vector per slot: refuse before drawing
+        _check_dense_arity(arity)
 
     slots = _slot_masks(arity)
     checked = 0

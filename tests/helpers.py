@@ -183,6 +183,16 @@ def bit_positions(bits, width):
     return [i for i in range(width) if bits >> i & 1]
 
 
+def pack_bits(entries):
+    """The int whose bit k is entries[k], one shift per set entry (no
+    string or byte conversion involved)."""
+    bits = 0
+    for k, b in enumerate(entries):
+        if b:
+            bits |= 1 << k
+    return bits
+
+
 def slow_mobius(values):
     """Reference butterfly on a plain list of bits."""
     out = list(values)

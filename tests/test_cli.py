@@ -1,5 +1,6 @@
 import io
 import random
+import re
 import shlex
 import sys
 import types
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zhegalkin
-from zhegalkin import cli, parse_anf, parse_form, parse_table
+from zhegalkin import TruthTable, cli, parse_anf, parse_form, parse_table
 from zhegalkin.cli import main
 
 from helpers import random_poly, run_module, run_python
@@ -173,6 +174,8 @@ def test_stokes_mode_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "stokes", "--n", "2", "(x2)*d{1}", "--random", "5")
     assert code == 2
+    code, out, err = run_cli(capsys, "stokes", "--n", "25", "--random", "1")
+    assert (code, out) == (2, "") and "arity <= 24, got 25" in err
 
 
 def test_stokes_seed_needs_random(capsys):
@@ -217,6 +220,28 @@ def test_readme_cli_examples(capsys):
         command, _, comment = line.partition("#")
         want = comment.strip().split("  ")[0]
         assert run_cli(capsys, *shlex.split(command)[1:]) == (0, want, ""), line
+
+
+def test_readme_library_examples():
+    # the README's Library block runs line by line in one namespace; each
+    # "# ..." comment is str() of the line's value, repr() for a table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library\n")[1].split("```python\n")[1].split("```")[0]
+    namespace = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if not comment:
+            exec(code, namespace)
+            continue
+        assignment = re.fullmatch(r"(\w+) = (.+)", code.strip())
+        value = eval(assignment[2] if assignment else code, namespace)
+        if assignment:
+            namespace[assignment[1]] = value
+        got = repr(value) if isinstance(value, TruthTable) else str(value)
+        assert got == comment.strip(), line
+        checked += 1
+    assert checked == 6
 
 
 def test_stdin_input(capsys, monkeypatch):

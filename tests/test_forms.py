@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -294,6 +295,19 @@ def test_leibniz_holds_trivially_for_one_form_pairs():
         lhs = a.wedge(b).d()
         rhs = a.d().wedge(b) + a.wedge(b.d())
         assert lhs.is_zero and rhs.is_zero
+
+
+def test_str_cost_follows_index_count_not_arity():
+    # index sets are walked per set bit, so d{1000000} costs one index
+    w = KForm.term(ZhegalkinPoly.variable(10**6, 1), [10**6])
+    tracemalloc.start()
+    try:
+        text = str(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "(x1)*d{1000000}"
+    assert peak < 1 << 20
 
 
 def test_str_formats():

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -200,6 +201,19 @@ def test_stokes_sweep_validation():
             stokes_sweep(2, count=bad)
     with pytest.raises(ValueError, match=re.escape("arity must be a positive integer, got 2.0")):
         stokes_sweep(2.0, count=1)
+
+
+def test_stokes_sweep_rejects_oversized_arity_before_drawing():
+    # a draw at n=25 would be a 2^25-bit vector per slot, ~125 MB in all
+    message = "dense truth tables support arity <= 24, got 25"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stokes_sweep(25, count=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sweep_summary_counterexample_line():

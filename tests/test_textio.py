@@ -178,11 +178,11 @@ def test_form_expected_degree():
 
 def test_table_roundtrip():
     t = parse_table("2:8")
-    assert list(t) == [0, 0, 0, 1]
+    assert t == TruthTable(2, 0b1000)
     assert str(t) == "2:8"
-    assert list(parse_table("2:6")) == [0, 1, 1, 0]
-    assert list(parse_table("1:2")) == [0, 1]
-    t3 = TruthTable.from_values([0, 0, 0, 1, 0, 1, 1, 1])
+    assert parse_table("2:6") == TruthTable(2, 0b0110)
+    assert parse_table("1:2") == TruthTable(1, 0b10)
+    t3 = TruthTable(3, 0b11101000)
     assert parse_table(str(t3)) == t3
     assert parse_table("3:e8") == t3  # hex is case-insensitive on input
 
