@@ -1,6 +1,7 @@
 """Boolean expression parsing and translation into ANF.
 
-Grammar (binary operators left-associative, loosest first):
+Grammar, loosest first.  A run of one operator is one node, so
+"x1 ^ x2 ^ x3" is Xor((x1, x2, x3)) and a chain of any length is one level:
 
     expr  := or
     or    := xor ("|" xor)*
@@ -41,9 +42,9 @@ __all__ = [
     "parse_expr",
 ]
 
-# Nesting bound so pathological inputs fail cleanly.  Each "(" recurses
-# through the whole precedence chain (5 frames), each "!" through one, so
-# 120 levels stay well under the interpreter's stack limit.
+# Bound on node levels, so every accepted tree is a usable value at the
+# default recursion limit: a "!" adds 1 and a "(" adds len(_LEVELS), as
+# its group can open an "|", a "^" and an "&" chain (120 "!", 40 "(").
 _MAX_DEPTH = 120
 
 
@@ -56,15 +57,14 @@ class ParseError(ValueError):
 
 
 class Expr(_Value):
-    """Base of the expression nodes: values (see `anf._Value`) whose repr
-    names each field.  `__match_args__` lists a node's fields."""
+    """Base of the expression nodes: values (see `anf._Value`) with one
+    field each, named by `__match_args__` and by the repr."""
 
     __slots__ = ()
 
     def __repr__(self):
-        # a list comprehension: joining a generator nests deeper per level
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
-        return f"{self.__class__.__qualname__}({fields})"
+        (name,) = self.__match_args__
+        return f"{self.__class__.__qualname__}({name}={getattr(self, name)!r})"
 
 
 # Each __init__ writes through the slot descriptors (the _set_* functions
@@ -90,31 +90,32 @@ class Not(Expr):
         _set_child(self, child)
 
 
-class _Binary(Expr):
-    __slots__ = __match_args__ = ("left", "right")
+class _Chain(Expr):
+    __slots__ = __match_args__ = ("operands",)
 
-    def __init__(self, left: Expr, right: Expr):
-        _set_left(self, left)
-        _set_right(self, right)
+    def __init__(self, operands):
+        operands = tuple(operands)
+        if len(operands) < 2:
+            raise TypeError(f"{type(self).__name__} takes 2 or more operands, got {len(operands)}")
+        _set_operands(self, operands)
 
 
-class And(_Binary):
+class And(_Chain):
     __slots__ = ()
 
 
-class Or(_Binary):
+class Or(_Chain):
     __slots__ = ()
 
 
-class Xor(_Binary):
+class Xor(_Chain):
     __slots__ = ()
 
 
 _set_value = Const.value.__set__
 _set_index = Var.index.__set__
 _set_child = Not.child.__set__
-_set_left = _Binary.left.__set__
-_set_right = _Binary.right.__set__
+_set_operands = _Chain.operands.__set__
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
 _OPERATORS = frozenset("&|^!()") | {"end"}
@@ -183,28 +184,32 @@ def _expect(tokens, i: int, kind: str) -> int:
 
 
 def _read_binary(tokens, i: int, level: int, depth: int) -> tuple[Expr, int]:
-    """The left-deep chain of _LEVELS[level] operators at tokens[i], whose
-    operands are the next level's chains, and the index after it."""
+    """The chain of _LEVELS[level] operators over the next level's chains
+    at tokens[i] (a lone operand as itself), and the index after it."""
     if level == len(_LEVELS):
         return _read_unary(tokens, i, depth)
     op, node = _LEVELS[level]
-    left, i = _read_binary(tokens, i, level + 1, depth)
+    first, i = _read_binary(tokens, i, level + 1, depth)
+    if _WORD_OPS.get(tokens[i][1], tokens[i][1]) != op:
+        return first, i
+    operands = [first]
     while _WORD_OPS.get(tokens[i][1], tokens[i][1]) == op:
-        right, i = _read_binary(tokens, i + 1, level + 1, depth)
-        left = node(left, right)
-    return left, i
+        operand, i = _read_binary(tokens, i + 1, level + 1, depth)
+        operands.append(operand)
+    return node(operands), i
 
 
 def _read_unary(tokens, i: int, depth: int) -> tuple[Expr, int]:
     kind, text, pos = tokens[i]
     op = _WORD_OPS.get(text, text)
     if op == "!" or op == "(":
-        if depth >= _MAX_DEPTH:
+        depth += 1 if op == "!" else len(_LEVELS)
+        if depth > _MAX_DEPTH:
             raise ParseError("expression nested too deeply", pos)
         if op == "!":
-            child, i = _read_unary(tokens, i + 1, depth + 1)
+            child, i = _read_unary(tokens, i + 1, depth)
             return Not(child), i
-        inner, i = _read_binary(tokens, i + 1, 0, depth + 1)
+        inner, i = _read_binary(tokens, i + 1, 0, depth)
         return inner, _expect(tokens, i, ")")
     value = _check_token(kind, text, pos)
     if kind == "var":
@@ -245,23 +250,14 @@ def _translate(expr: Expr, n: int) -> ZhegalkinPoly:
         return ZhegalkinPoly.one(n) + _translate(expr.child, n)
     if isinstance(expr, Const):
         return ZhegalkinPoly.constant(n, expr.value)
-    if not isinstance(expr, _Binary):
+    if not isinstance(expr, _Chain):
         raise TypeError(f"not an expression node: {expr!r}")
-    # Operator chains parse left-deep, so walk the left spine in a loop and
-    # recurse only into right operands and negations, whose depth the
-    # parser bounds.
-    spine = [expr]
-    left = expr.left
-    while isinstance(left, _Binary):
-        spine.append(left)
-        left = left.left
-    acc = _translate(left, n)
-    while spine:
-        node = spine.pop()
-        b = _translate(node.right, n)
-        if isinstance(node, And):
+    acc = _translate(expr.operands[0], n)
+    for operand in expr.operands[1:]:
+        b = _translate(operand, n)
+        if isinstance(expr, And):
             acc = acc * b
-        elif isinstance(node, Xor):
+        elif isinstance(expr, Xor):
             acc = acc + b
         else:
             acc = acc + b + acc * b

@@ -29,8 +29,7 @@ class KForm(_Value):
 
     def __init__(self, arity: int, degree: int, coeffs=None):
         _check_positive(arity)
-        if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= arity:
-            raise ValueError(f"degree {degree!r} out of range 0..{arity}")
+        _check_degree(degree, arity)
         clean = {}
         for key, poly in (coeffs or {}).items():
             if not isinstance(key, int) or isinstance(key, bool) or key < 0 or key >> arity:
@@ -166,6 +165,12 @@ class KForm(_Value):
             idx = ",".join(str(i) for i in indices_from_mask(key))
             parts.append(f"({self.coeffs[key]})*d{{{idx}}}")
         return " + ".join(parts)
+
+
+def _check_degree(degree, arity: int):
+    """A form's degree is an int in 0..arity, not a bool."""
+    if not isinstance(degree, int) or isinstance(degree, bool) or not 0 <= degree <= arity:
+        raise ValueError(f"degree {degree!r} out of range 0..{arity}")
 
 
 def _make_form(arity: int, degree: int, coeffs: dict) -> KForm:

@@ -29,9 +29,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .anf import (ZhegalkinPoly, _check_bit, _check_dense_arity, _check_index,
-                  _check_positive)
-from .forms import KForm
+from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive, _make_poly,
+                  _positions)
+from .forms import KForm, _make_form
 
 __all__ = [
     "StokesReport",
@@ -170,8 +170,8 @@ def stokes_sweep(
 
 
 def _sweep_forms(arity, slots, exhaustive, count, seed):
-    # one packed coefficient vector per slot: the exhaustive sweep cuts each
-    # counter value into slot-wide fields, lowest field first
+    # one fitting coefficient vector per slot, so forms are built unchecked;
+    # the exhaustive sweep cuts a counter into slot-wide fields, lowest first
     width = 1 << arity
     if exhaustive:
         ones = (1 << width) - 1
@@ -183,9 +183,7 @@ def _sweep_forms(arity, slots, exhaustive, count, seed):
         rng = random.Random(seed)
         draws = ([rng.getrandbits(width) for _ in slots] for _ in range(count))
     for slot_bits in draws:
-        coeffs = {
-            slot: ZhegalkinPoly.from_coeff_bits(arity, bits)
-            for slot, bits in zip(slots, slot_bits)
-            if bits
-        }
-        yield KForm(arity, arity - 1, coeffs)
+        yield _make_form(arity, arity - 1, {
+            slot: _make_poly(arity, frozenset(_positions(bits)))
+            for slot, bits in zip(slots, slot_bits) if bits
+        })

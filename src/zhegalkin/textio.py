@@ -21,7 +21,7 @@ import re
 
 from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_positive, _make_poly
 from .exprs import ParseError, _expect, _lex, _number
-from .forms import KForm
+from .forms import KForm, _check_degree
 from .secant import SecantElement
 
 __all__ = [
@@ -173,8 +173,8 @@ def parse_form(source: str, arity: int, degree: int | None = None) -> KForm:
     that degree.
     """
     _check_positive(arity)
-    if degree is not None and not 0 <= degree <= arity:
-        raise ValueError(f"degree {degree!r} out of range 0..{arity}")
+    if degree is not None:
+        _check_degree(degree, arity)
     tokens = _tokens(source)
     if tokens[0][0] != "(":
         form = KForm.from_poly(_read_anf(tokens, 0, arity, "end")[0])

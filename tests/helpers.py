@@ -218,32 +218,43 @@ def reference_level_mask(n, i):
 
 
 def eval_expr(expr, vertex):
-    """Evaluate an expression tree directly at an int vertex mask."""
+    """Evaluate an expression tree directly at an int vertex mask, folding
+    each chain's operands with the Boolean operator (no ring involved)."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
         return (vertex >> (expr.index - 1)) & 1
     if isinstance(expr, Not):
         return 1 - eval_expr(expr.child, vertex)
-    if isinstance(expr, And):
-        return eval_expr(expr.left, vertex) & eval_expr(expr.right, vertex)
-    if isinstance(expr, Or):
-        return eval_expr(expr.left, vertex) | eval_expr(expr.right, vertex)
-    if isinstance(expr, Xor):
-        return eval_expr(expr.left, vertex) ^ eval_expr(expr.right, vertex)
+    if isinstance(expr, (And, Or, Xor)):
+        first, *rest = expr.operands
+        value = eval_expr(first, vertex)
+        for operand in rest:
+            b = eval_expr(operand, vertex)
+            if isinstance(expr, And):
+                value &= b
+            elif isinstance(expr, Or):
+                value |= b
+            else:
+                value ^= b
+        return value
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def random_expr(rng, n, depth=4):
+def random_expr(rng, n, depth=4, max_operands=2):
+    """A random tree of depth at most `depth` over x1..xn whose chains
+    have 2..max_operands operands.  The default of 2 draws no width, so
+    the seeded samples of the tests that use it do not depend on it."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.2:
             return Const(rng.randrange(2))
         return Var(rng.randrange(1, n + 1))
     kind = rng.choice(("not", "and", "or", "xor"))
     if kind == "not":
-        return Not(random_expr(rng, n, depth - 1))
+        return Not(random_expr(rng, n, depth - 1, max_operands))
     node = {"and": And, "or": Or, "xor": Xor}[kind]
-    return node(random_expr(rng, n, depth - 1), random_expr(rng, n, depth - 1))
+    width = 2 if max_operands == 2 else rng.randrange(2, max_operands + 1)
+    return node([random_expr(rng, n, depth - 1, max_operands) for _ in range(width)])
 
 
 # Mixed-operator corpus used for translation soundness; max index 6.

@@ -463,7 +463,7 @@ VALUE_SAMPLES = {
         lambda: SecantElement(2, [ZhegalkinPoly.variable(2, 2), ZhegalkinPoly.one(2)]),
         ("arity", "coeffs"),
     ),
-    "expr": (lambda: parse_expr("x1 & !x2 | 0"), ("left", "right")),
+    "expr": (lambda: parse_expr("x1 & !x2 | 0"), ("operands",)),
 }
 
 

@@ -25,55 +25,63 @@ from helpers import EXPR_CORPUS, eval_expr, random_expr
 
 def test_nodes_are_values():
     a, b = Var(1), Not(Var(2))
-    assert And(a, b) == And(Var(1), Not(Var(2))) and And(left=a, right=b) == And(a, b)
-    assert And(a, b) != Or(a, b) and Or(a, b) != Xor(a, b) and Var(1) != Const(1)
+    assert And((a, b)) == And([Var(1), Not(Var(2))]) and And(operands=(a, b)) == And((a, b))
+    assert And((a, b)) != Or((a, b)) and Or((a, b)) != Xor((a, b)) and Var(1) != Const(1)
+    assert And((a, b)) != And((b, a)) and And((a, a, b)) != And((a, b))
     assert Var(1) != 1 and Const(0) != Var(0)
-    assert hash(parse_expr("x1 & !x2 | 0")) == hash(Or(And(a, b), Const(0)))
+    assert hash(parse_expr("x1 & !x2 | 0")) == hash(Or((And((a, b)), Const(0))))
     assert len({Var(1), Var(1), Const(1)}) == 2
     tree = parse_expr("x1 & !x2 | 0")
     assert pickle.loads(pickle.dumps(tree)) == tree
+    assert And((a, b)).operands == (a, b)
     assert repr(parse_expr("x1 & !x2 | 0 ^ x3")) == (
-        "Or(left=And(left=Var(index=1), right=Not(child=Var(index=2))),"
-        " right=Xor(left=Const(value=0), right=Var(index=3)))"
+        "Or(operands=(And(operands=(Var(index=1), Not(child=Var(index=2)))),"
+        " Xor(operands=(Const(value=0), Var(index=3)))))"
     )
-    # each binary operator adds a tree level; the README's limit is ~300
+    # a chain of any length is one tree level
     chain = parse_expr(" ^ ".join(["x1"] * 200))
     assert pickle.loads(pickle.dumps(chain)) == chain == copy.deepcopy(chain)
     assert hash(chain) == hash(parse_expr(" xor ".join(["x1"] * 200)))
-    assert repr(chain) == "Xor(left=" * 199 + "Var(index=1)" + ", right=Var(index=1))" * 199
+    assert repr(chain) == "Xor(operands=(" + ", ".join(["Var(index=1)"] * 200) + "))"
 
 
 def test_nodes_are_immutable_and_check_arguments():
     for node, field in ((Const(1), "value"), (Var(1), "index"), (Not(Var(1)), "child"),
-                        (And(Var(1), Var(2)), "left"), (Xor(Var(1), Var(2)), "right")):
+                        (And((Var(1), Var(2))), "operands"), (Xor((Var(1), Var(2))), "operands")):
         with pytest.raises(AttributeError):
             setattr(node, field, Var(3))
         with pytest.raises(AttributeError):
             node.other = 1
-    for make, args in ((Const, ()), (Var, (1, 2)), (Not, ()), (And, (Var(1),)), (Or, (Var(1),) * 3)):
+    # a chain takes one iterable of two or more operands
+    for make, args in ((Const, ()), (Var, (1, 2)), (Not, ()), (And, ((Var(1),),)),
+                       (Or, ()), (Xor, ([],)), (And, (Var(1), Var(2)))):
         with pytest.raises(TypeError):
             make(*args)
 
 
 def test_parse_single_operator():
-    assert parse_expr("x1 & x2") == And(Var(1), Var(2))
+    assert parse_expr("x1 & x2") == And((Var(1), Var(2)))
 
 
 def test_parse_precedence():
-    assert parse_expr("!x1 | x2 & x3") == Or(Not(Var(1)), And(Var(2), Var(3)))
-    assert parse_expr("x1 ^ x2 | x3") == Or(Xor(Var(1), Var(2)), Var(3))
-    assert parse_expr("x1 & x2 ^ x3") == Xor(And(Var(1), Var(2)), Var(3))
+    assert parse_expr("!x1 | x2 & x3") == Or((Not(Var(1)), And((Var(2), Var(3)))))
+    assert parse_expr("x1 ^ x2 | x3") == Or((Xor((Var(1), Var(2))), Var(3)))
+    assert parse_expr("x1 & x2 ^ x3") == Xor((And((Var(1), Var(2))), Var(3)))
 
 
 def test_parse_grouping():
-    assert parse_expr("x1 ^ (x2 | 1)") == Xor(Var(1), Or(Var(2), Const(1)))
+    assert parse_expr("x1 ^ (x2 | 1)") == Xor((Var(1), Or((Var(2), Const(1)))))
     assert parse_expr("((x1))") == Var(1)
+    # a parenthesized chain stays a node of its own
+    assert parse_expr("(x1 ^ x2) ^ x3") == Xor((Xor((Var(1), Var(2))), Var(3)))
 
 
-def test_parse_left_associative():
-    assert parse_expr("x1 | x2 | x3") == Or(Or(Var(1), Var(2)), Var(3))
-    assert parse_expr("x1 ^ x2 ^ x3") == Xor(Xor(Var(1), Var(2)), Var(3))
-    assert parse_expr("x1 & x2 & x3") == And(And(Var(1), Var(2)), Var(3))
+def test_parse_chains_are_one_node():
+    x1, x2, x3 = Var(1), Var(2), Var(3)
+    assert parse_expr("x1 | x2 | x3") == Or((x1, x2, x3))
+    assert parse_expr("x1 ^ x2 xor x3") == Xor((x1, x2, x3))
+    assert parse_expr("x1 & x2 & x3") == And((x1, x2, x3))
+    assert parse_expr("x1 & x2 | x3 & !x1 & x2") == Or((And((x1, x2)), And((x3, Not(x1), x2))))
 
 
 def test_parse_word_aliases():
@@ -182,7 +190,7 @@ def test_expr_to_anf_xor_built_from_or_and_not():
 
 
 def test_expr_to_anf_long_flat_chain():
-    # a left-deep chain far longer than the interpreter's recursion limit
+    # a chain far longer than the interpreter's recursion limit
     for op, want in (("^", "0"), ("&", "x1"), ("|", "x1")):
         tree = parse_expr(f" {op} ".join(["x1"] * 5000))
         assert str(expr_to_anf(tree, 1)) == want
@@ -212,3 +220,81 @@ def test_random_trees_translation_matches_tree_evaluation():
         poly = expr_to_anf(tree, n)
         for v in range(1 << n):
             assert poly.evaluate(v) == eval_expr(tree, v)
+
+
+def test_random_chains_translation_matches_tree_evaluation():
+    # chains of 2-5 operands mixed with negation and nesting
+    rng = random.Random(113)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        tree = random_expr(rng, n, depth=rng.randrange(1, 5), max_operands=5)
+        poly = expr_to_anf(tree, n)
+        for v in range(1 << n):
+            assert poly.evaluate(v) == eval_expr(tree, v), tree
+
+
+def _at_stack_depth(frames, fn):
+    """fn() called under `frames` more interpreter frames."""
+    return fn() if frames == 0 else _at_stack_depth(frames - 1, fn)
+
+
+def _assert_usable_value(src, n, frames=0):
+    """Parse src and check ==, hash, repr, pickle, deepcopy and expr_to_anf
+    on the tree, each under `frames` extra frames; the copies are new
+    trees, so == compares them node by node."""
+    tree = parse_expr(src)
+
+    def run(fn):
+        return _at_stack_depth(frames, fn)
+
+    pickled = run(lambda: pickle.loads(pickle.dumps(tree)))
+    copied = run(lambda: copy.deepcopy(tree))
+    assert run(lambda: pickled == tree) and run(lambda: copied == tree)
+    assert run(lambda: hash(pickled)) == hash(tree)
+    assert run(lambda: repr(copied)) == repr(tree)
+    return tree, run(lambda: expr_to_anf(tree, n))
+
+
+# (prefix, suffix, deepest count): the prefix repeated opens one nesting
+# level each time; a "(" counts 3 node levels and a "!" counts 1
+NESTING_PATTERNS = [
+    ("(", ")", 40),
+    ("!", "", 120),
+    ("!(", ")", 30),
+    ("x1 ^ (", ")", 40),
+    ("x1 & !(", ")", 30),
+    ("x1 | x2 ^ x3 & (", ")", 40),
+    ("x1 | x2 ^ x3 & !(", ")", 30),
+    ("!(", ") & x1 ^ x2 | x3", 30),
+]
+
+
+@pytest.mark.parametrize("prefix,suffix,deepest", NESTING_PATTERNS)
+def test_every_accepted_nesting_is_a_usable_value(prefix, suffix, deepest):
+    src = prefix * deepest + "x1" + suffix * deepest
+    # with 100 frames to spare beyond the test runner's own
+    tree, poly = _assert_usable_value(src, 3, frames=100)
+    for v in range(8):
+        assert poly.evaluate(v) == eval_expr(tree, v)
+    # one level more fails at the "!" or "(" that crosses the bound
+    crossing = deepest * len(prefix) + min(i for i, c in enumerate(prefix) if c in "!(")
+    with pytest.raises(ParseError) as info:
+        parse_expr(prefix * (deepest + 1) + "x1" + suffix * (deepest + 1))
+    assert str(info.value) == f"expression nested too deeply (at position {crossing})"
+
+
+def test_deepest_tree_is_a_usable_value():
+    # three free chain levels above 120 negations: the tallest accepted tree
+    head = "x1 | x2 ^ x3 & "
+    tree, poly = _assert_usable_value(head + "!" * 120 + "x1", 3, frames=100)
+    assert poly == expr_to_anf(parse_expr("x1 | x2 ^ x3 & x1"), 3)
+    with pytest.raises(ParseError, match=r"nested too deeply \(at position 135\)"):
+        parse_expr(head + "!" * 121 + "x1")
+
+
+@pytest.mark.parametrize("op,want", [("^", "x2 ^ x3"), ("&", "x1 & x2 & x3"), ("|", "x1 | x2 | x3")])
+def test_long_chain_is_a_usable_value(op, want):
+    size = 100_000
+    src = f" {op} ".join(f"x{k % 3 + 1}" for k in range(size))
+    tree, poly = _assert_usable_value(src, 3)
+    assert len(tree.operands) == size and poly == expr_to_anf(parse_expr(want), 3)

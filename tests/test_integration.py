@@ -15,6 +15,7 @@ from zhegalkin import (
     stokes_check,
     stokes_sweep,
 )
+from zhegalkin.integration import _slot_masks, _sweep_forms
 
 from helpers import all_polys, face_sum, masks_of_size, random_form, random_poly
 
@@ -178,6 +179,30 @@ def test_stokes_sweep_exhaustive():
 def test_stokes_sweep_random():
     s = stokes_sweep(4, count=500, seed=11)
     assert (s.checked, s.failed) == (500, 0)
+
+
+def test_sweep_forms_equal_forms_from_the_public_constructors():
+    # the sweep builds its forms unchecked; replay its draws through the
+    # validating constructors and compare value, hash and text
+    for n in range(1, 7):
+        slots = _slot_masks(n)
+        for seed in (0, 1, 29):
+            rng = random.Random(seed)
+            count = 0
+            for form in _sweep_forms(n, slots, False, 20, seed):
+                coeffs = {}
+                for slot in slots:
+                    bits = rng.getrandbits(1 << n)
+                    if bits:
+                        coeffs[slot] = ZhegalkinPoly.from_coeff_bits(n, bits)
+                want = KForm(n, n - 1, coeffs)
+                assert form == want and hash(form) == hash(want) and str(form) == str(want)
+                count += 1
+            assert count == 20
+    for n, total in ((1, 4), (2, 256)):
+        forms = list(_sweep_forms(n, _slot_masks(n), True, None, 0))
+        assert len(forms) == total and len(set(forms)) == total
+        assert all(form == KForm(n, n - 1, dict(form.coeffs)) for form in forms)
 
 
 def test_stokes_sweep_deterministic():

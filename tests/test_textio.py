@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from zhegalkin import (
+    KForm,
     ParseError,
     SecantElement,
     TruthTable,
@@ -174,6 +176,17 @@ def test_form_expected_degree():
         parse_form("x1", 2, degree=1)  # nonzero 0-form cannot be coerced
     zero_coeff = parse_form("(0)*d{1}", 2, degree=1)
     assert zero_coeff.is_zero and zero_coeff.degree == 1
+
+
+def test_form_degree_is_checked_once_for_parser_and_constructor():
+    # the parser used to raise TypeError on "1" and accept 1.0 and True
+    for bad in ("1", 1.0, True, -1, 3, 2.5):
+        message = f"degree {bad!r} out of range 0..2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_form("(1)*d{1}", 2, degree=bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KForm(2, bad, {})
+    assert parse_form("(1)*d{1}", 2, degree=1) == KForm.term(ZhegalkinPoly.one(2), [1])
 
 
 def test_table_roundtrip():
