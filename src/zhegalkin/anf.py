@@ -19,9 +19,14 @@ the two is validated once, at the public edge: a packed value from a
 caller by `_check_packed` (a `TruthTable` by its constructor), a term set
 by its arity; past that edge the butterfly runs unchecked.  Exactly two
 functions cross, each linear in the table size: `_positions` (packed int
-to ascending positions) and `_pack` (positions to packed int).  Packed
-tables are walked per entry and masks per set bit (`m & -m`), so a
-monomial or index set costs its factors, not its width.
+to ascending positions) and `_pack` (positions to packed int).  A
+polynomial built by `from_coeff_bits`, `from_truth_table` or the table
+route of `*` keeps the packed coefficient vector it was built from in a
+private slot, set only while it is built, so `coeff_bits`,
+`to_truth_table` and `*` never pack it again; the vector is never
+compared, hashed or pickled.  Packed tables are walked per entry and
+masks per set bit (`m & -m`), so a monomial or index set costs its
+factors, not its width.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
@@ -29,7 +34,8 @@ costs |a|*|b| set operations; the route through packed tables costs about
 as much as 2^n + 256 of them.  So `*` goes through the tables, inside the
 one call, when |a|*|b| > 2^n + 256 and n <= MAX_DENSE_ARITY, and folds
 term pairs otherwise.  Just over that threshold the table route measured
-1.7-4.7x faster for n = 5..16.
+1.7-4.7x faster for n = 5..16.  Above MAX_DENSE_ARITY there are no tables,
+and `*` refuses more than 2^MAX_DENSE_ARITY term pairs before folding.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ MAX_DENSE_ARITY = 24
 # Fixed cost of a product through the tables, in term pairs: three
 # flag-byte crossings and three butterflies take 8-12 us at n <= 6, about
 # 100-200 set operations of the term-pair fold.  Without it the table
-# route lost 2-8x at |a|*|b| = 2^n for n <= 6.
+# route lost 2-8x at |a|*|b| = 2^n for n <= 6.  An operand built from a
+# packed vector skips its packing crossing, so the cost is an upper bound.
 _DENSE_PRODUCT_OVERHEAD = 256
 
 
@@ -239,7 +246,10 @@ class ZhegalkinPoly(_Value):
     repeated mask cancels.
     """
 
-    __slots__ = __match_args__ = ("arity", "terms")
+    # `_packed`, when set, is the packed coefficient vector of `terms`;
+    # it is derived data, so it is not one of the fields
+    __match_args__ = ("arity", "terms")
+    __slots__ = (*__match_args__, "_packed")
 
     def __init__(self, arity: int, terms=()):
         _check_positive(arity)
@@ -277,21 +287,19 @@ class ZhegalkinPoly(_Value):
     @classmethod
     def from_coeff_bits(cls, arity: int, bits: int) -> "ZhegalkinPoly":
         """Build from a packed coefficient vector (bit m set = monomial m)."""
-        _check_packed(bits, arity)
-        return _make_poly(arity, frozenset(_positions(bits)))
+        return _poly_from_packed(arity, _check_packed(bits, arity))
 
     @classmethod
     def from_truth_table(cls, table: "TruthTable") -> "ZhegalkinPoly":
         """The unique polynomial realizing the given truth table."""
         if not isinstance(table, TruthTable):
             raise TypeError("from_truth_table expects a TruthTable")
-        coeffs = _butterfly(table.bits, table.arity)
-        return _make_poly(table.arity, frozenset(_positions(coeffs)))
+        return _poly_from_packed(table.arity, _butterfly(table.bits, table.arity))
 
     def coeff_bits(self) -> int:
-        """Pack the term set into a coefficient vector (bit m = monomial m)."""
+        """The term set as a packed coefficient vector (bit m = monomial m)."""
         _check_dense_arity(self.arity)
-        return _pack(self.terms, 1 << self.arity)
+        return _coeffs(self)
 
     def to_truth_table(self) -> "TruthTable":
         """Evaluate at every vertex via the packed butterfly."""
@@ -341,12 +349,17 @@ class ZhegalkinPoly(_Value):
         _check_same_arity(self, other)
         n = self.arity
         pairs = len(self.terms) * len(other.terms)
-        if n <= MAX_DENSE_ARITY and pairs > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
-            # the product is the pointwise AND of the two truth tables
-            width = 1 << n
-            bits = (_butterfly(_pack(self.terms, width), n)
-                    & _butterfly(_pack(other.terms, width), n))
-            return _make_poly(n, frozenset(_positions(_butterfly(bits, n))))
+        if n <= MAX_DENSE_ARITY:
+            if pairs > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
+                # the product is the pointwise AND of the two truth tables
+                bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
+                return _poly_from_packed(n, _butterfly(bits, n))
+        elif pairs > 1 << MAX_DENSE_ARITY:
+            # the fold's work and result are bounded by the largest dense table
+            raise ValueError(
+                f"product of {len(self.terms)} x {len(other.terms)} terms exceeds the "
+                f"term-pair budget 2^{MAX_DENSE_ARITY} = {1 << MAX_DENSE_ARITY}"
+            )
         # folded inline: feeding _xor_fold a generator ran ~1.2x slower (dense n=10)
         acc = set()
         for a in self.terms:
@@ -390,9 +403,23 @@ def _make_poly(arity: int, terms: frozenset) -> ZhegalkinPoly:
     return p
 
 
+def _poly_from_packed(arity: int, bits: int) -> ZhegalkinPoly:
+    # bits must already fit the 2^arity entries; the polynomial keeps them
+    p = _make_poly(arity, frozenset(_positions(bits)))
+    _set_packed(p, bits)
+    return p
+
+
+def _coeffs(p: ZhegalkinPoly) -> int:
+    # p.arity <= MAX_DENSE_ARITY: the packed vector it was built from, or a new one
+    bits = getattr(p, "_packed", None)
+    return _pack(p.terms, 1 << p.arity) if bits is None else bits
+
+
 _new = object.__new__
 _set_poly_arity = ZhegalkinPoly.arity.__set__
 _set_terms = ZhegalkinPoly.terms.__set__
+_set_packed = ZhegalkinPoly._packed.__set__
 
 
 class TruthTable(_Value):

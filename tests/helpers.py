@@ -21,9 +21,10 @@ import zhegalkin
 from zhegalkin import And, Const, KForm, Not, Or, ParseError, Var, Xor, ZhegalkinPoly
 
 
-def run_python(*argv):
+def run_python(*argv, **kwargs):
     """Run the interpreter on argv with the package these tests import on
-    its path, whether it is installed or only on the test run's import path."""
+    its path, whether it is installed or only on the test run's import path.
+    Keyword arguments go to `subprocess.run`."""
     src = str(Path(zhegalkin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
@@ -31,12 +32,13 @@ def run_python(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
     )
 
 
-def run_module(*argv):
+def run_module(*argv, **kwargs):
     """Run `python -m zhegalkin *argv`."""
-    return run_python("-m", "zhegalkin", *argv)
+    return run_python("-m", "zhegalkin", *argv, **kwargs)
 
 
 def all_polys(n):

@@ -143,6 +143,48 @@ def test_product_routes_match_schoolbook(n):
             assert product.evaluate(v) == p.evaluate(v) & q.evaluate(v)
 
 
+def test_product_term_pair_budget_above_the_dense_arity():
+    # without tables, `*` refuses more than 2^MAX_DENSE_ARITY term pairs
+    # before folding; with tables it has no budget
+    n = MAX_DENSE_ARITY + 1
+    # both inside x1..x13, so even an unbudgeted fold stays small
+    low, high = ZhegalkinPoly(n, range(4097)), ZhegalkinPoly(n, range(4096))
+    for p, q in ((low, high), (high, low)):
+        message = f"{len(p.terms)} x {len(q.terms)} terms exceeds the term-pair budget 2^24 = {1 << 24}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            p * q
+    x1, xn = ZhegalkinPoly.variable(n, 1), ZhegalkinPoly.variable(n, n)
+    assert (x1 * xn).terms == {1 | 1 << (n - 1)}
+    full = ZhegalkinPoly(13, range(1 << 13))  # 2^26 term pairs
+    assert full * full == full
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_every_construction_path_packs_its_terms(n):
+    # the three builders from a packed vector keep it, the rest keep
+    # nothing; kept or packed anew, it is the packing of the terms
+    rng = random.Random(60 + n)
+    w = 1 << n
+    p = ZhegalkinPoly.from_coeff_bits(n, rng.getrandbits(w) | 1)
+    full = ZhegalkinPoly.from_coeff_bits(n, (1 << w) - 1)
+    built = [
+        (p, True),
+        (ZhegalkinPoly.from_truth_table(TruthTable(n, rng.getrandbits(w))), True),
+        (full * p, True),  # |full| * |p| > 2^n + 256: the table route
+        (ZhegalkinPoly(n, range(w)) * ZhegalkinPoly(n, p.terms), True),
+        (ZhegalkinPoly.variable(n, 1) * p, False),  # the term-pair fold
+        (p + full, False),
+        (p.partial(1), False),
+        (p.restrict(2, 1), False),
+        (ZhegalkinPoly(n, p.terms), False),
+    ]
+    for q, keeps in built:
+        entries = [int(m in q.terms) for m in range(w)]
+        assert q.coeff_bits() == pack_bits(entries)
+        assert q.to_truth_table().bits == pack_bits(slow_mobius(entries))
+        assert hasattr(q, "_packed") is keeps  # reading stored nothing
+
+
 def test_evaluate():
     p = ZhegalkinPoly(2, [0b11])
     assert p.evaluate(0b11) == 1
@@ -497,3 +539,15 @@ def test_poly_hash_and_equality():
     assert a == b and hash(a) == hash(b)
     assert a != ZhegalkinPoly(3, [1, 2])
     assert len({a, b}) == 1
+    # the packed vector a polynomial keeps is not part of its value
+    kept = ZhegalkinPoly.from_truth_table(TruthTable(3, 0x5A))
+    plain = ZhegalkinPoly(3, kept.terms)
+    assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
+    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        c = round_trip(kept)
+        assert c == plain and hash(c) == hash(plain) and repr(c) == repr(plain)
+        assert not hasattr(c, "_packed")
+    for p in (kept, plain):
+        with pytest.raises(AttributeError):
+            p._packed = 0
+    assert kept.coeff_bits() == plain.coeff_bits()

@@ -1,8 +1,10 @@
 import io
 import random
 import re
+import resource
 import shlex
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -62,6 +64,24 @@ def test_anf_reads_the_anf_it_prints(capsys):
 def test_anf_long_flat_chain(capsys):
     code, out, _ = run_cli(capsys, "anf", "--n", "1", " ^ ".join(["x1"] * 1000))
     assert code == 0 and out == "0"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_anf_product_over_the_term_pair_budget():
+    # ~10^9 term pairs at n=30 are refused before the fold; the child's
+    # 1 GiB address-space cap and the timeout keep a regression from
+    # taking the host's memory
+    low = "|".join(f"x{i}" for i in range(1, 16))
+    high = "|".join(f"x{i}" for i in range(16, 31))
+    start = time.perf_counter()
+    done = run_module("anf", "--n", "30", f"({low}) & ({high})",
+                      timeout=60, preexec_fn=_cap_address_space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "term-pair budget 2^24" in done.stderr
+    assert time.perf_counter() - start < 2
 
 
 def test_anf_non_ascii_digits_are_parse_errors(capsys):

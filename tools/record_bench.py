@@ -7,7 +7,11 @@ Recording runs perfbench/run.py on each workload of BENCHMARK.json at seed 1
 for 3 s, once with --trace 0 (the end-to-end metrics) and once with
 --trace 1 (the per-layer metrics), and merges the reports that those runs write to
 .bench_build/perfbench/ into one JSON file at the repository root.  The
-traced reports' kept spans are left out; everything else is kept.
+traced reports' kept spans are left out; everything else is kept.  Each
+report's `environment.git_commit` names the checkout's HEAD, so the file
+also records `tree_clean`: whether `src/` and `perfbench/` matched HEAD
+(`git status --porcelain`), or null outside a git checkout.  A recording
+from a changed tree prints a warning.
 
 The two runs of a workload use different PYTHONHASHSEED values.  Their
 `exact_counts` (work counted over a fixed window of seeded ops) are
@@ -62,7 +66,19 @@ def run_workload(workload: str, trace: int) -> dict:
     return report
 
 
+def tree_clean():
+    """Whether src/ and perfbench/ match HEAD; None outside a git checkout."""
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
+                            cwd=ROOT, capture_output=True, text=True)
+    return None if status.returncode else not status.stdout.strip()
+
+
 def record(out: Path) -> None:
+    clean = tree_clean()
+    if not clean:
+        state = "are not in a git checkout" if clean is None else "differ from HEAD"
+        print(f"warning: src/ or perfbench/ {state}, so git_commit in the reports "
+              "does not name the measured code", file=sys.stderr)
     workloads = {}
     for workload in WORKLOADS:
         untraced, traced = (run_workload(workload, trace) for trace in (0, 1))
@@ -80,6 +96,7 @@ def record(out: Path) -> None:
                 sys.exit(f"{workload}: a run failed its oracles; nothing recorded")
     bench = {
         "recorded_with": f"python3 tools/record_bench.py --out {out.name}",
+        "tree_clean": clean,
         "seed": SEED,
         "seconds": SECONDS,
         "caveats": CAVEATS,
