@@ -23,24 +23,55 @@ to ascending positions) and `_pack` (positions to packed int).  A
 polynomial built by `from_coeff_bits`, `from_truth_table` or the table
 route of `*` keeps the packed coefficient vector it was built from in a
 private slot, set only while it is built, so `coeff_bits`,
-`to_truth_table` and `*` never pack it again; the vector is never
-compared, hashed or pickled.  Packed tables are walked per entry and
-masks per set bit (`m & -m`), so a monomial or index set costs its
-factors, not its width.
+`to_truth_table` and `*` never pack it again; so do the outputs of the
+packed route of `KForm.d`.  The vector is never compared, hashed or
+pickled.  Packed tables are walked per entry and monomials per set bit
+(`m & -m`), so a monomial costs its factors, not its width;
+`indices_from_mask` walks a mask's bytes once.
+
+Routes: `*` and `KForm.d` each have a route over term sets and one over
+packed vectors.  One size rule, `_packed_pays`, weighs the term route's
+work against the crossings the packed route makes, and picks; above
+MAX_DENSE_ARITY it always picks the term route.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
-costs |a|*|b| set operations; the route through packed tables costs about
-as much as 2^n + 256 of them.  So `*` goes through the tables, inside the
-one call, when |a|*|b| > 2^n + 256 and n <= MAX_DENSE_ARITY, and folds
-term pairs otherwise.  Just over that threshold the table route measured
-1.7-4.7x faster for n = 5..16.  Above MAX_DENSE_ARITY there are no tables,
-and `*` refuses more than 2^MAX_DENSE_ARITY term pairs before folding.
+costs |a|*|b| set operations; the route through packed tables ends in one
+crossing, and its butterflies and operand crossings add an overhead of
+256.  So `*` goes through the tables, inside the one call, when
+|a|*|b| > 2^n + 256 and n <= MAX_DENSE_ARITY, and folds term pairs
+otherwise.  Just over that threshold the table route measured 1.7-4.7x
+faster for n = 5..16.  Above MAX_DENSE_ARITY there are no tables, and `*`
+refuses more than 2^MAX_DENSE_ARITY term pairs before folding.
+
+Exterior derivative: on a k-form with T terms in all, the term route of
+`d` makes at most (n-k)*T partial terms.  The packed route makes one
+word-wide partial (`_packed_partial`: a shift and a mask) per coefficient
+and free index, and crosses once per output (k+1)-set, at most
+min(C(n, k+1), (n-k) * coefficients) of them, with no overhead.  On
+(n-1)-forms (one output) with n coefficients of t terms each, the rule
+takes the packed route from the t in the first row; the packed route
+measured faster from the t in the second row when the coefficients keep
+their vectors, and from the third when they are packed first (best of 3
+timings of >= 10 ms each, Python 3.11, shared 2-core x86-64 host):
+
+    n       2  3  4   5   6   7   8   9   10   11   12   13    14    15    16
+    rule    3  3  5   7  11  19  33  57  103  187  342  631  1171  2185  4097
+    kept    4  3  4   3   2   3   5  10   21   33   56  111   177   329   609
+    packed  -  -  -  18  23  33  37  47   77  120  182  418   653  1280  2476
+
+(- : the term route won even at t = 2^n.)  So where the vectors are kept
+the rule is conservative from n = 3 on.  Where they are not, it takes the
+packed route early at n <= 8 (from 7 instead of 18 terms at n = 5); both
+routes cost tens of microseconds there.  On 0-forms (n outputs) the rule
+never takes the packed route, which measured faster from about 2^n/5
+terms for n >= 9.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import re
+from functools import lru_cache, reduce
 from itertools import compress
 
 __all__ = [
@@ -124,6 +155,16 @@ def _pack(positions, width: int) -> int:
     return int(digits or b"0", 2)
 
 
+def _check_pair_budget(operation: str, a: int, b: int, unit: str):
+    """Refuse a loop over a x b pairs of terms or coefficients before it
+    starts when there are more pairs than entries in the largest table."""
+    if a * b > 1 << MAX_DENSE_ARITY:
+        raise ValueError(
+            f"{operation} of {a} x {b} {unit}s exceeds the {unit}-pair budget "
+            f"2^{MAX_DENSE_ARITY} = {1 << MAX_DENSE_ARITY}"
+        )
+
+
 def _check_packed(bits, arity) -> int:
     """Validate a packed 2^arity-entry table or coefficient vector."""
     _check_dense_arity(arity)
@@ -158,12 +199,21 @@ def indices_from_mask(mask: int) -> list[int]:
     """Unpack a mask into ascending 1-based variable indices."""
     if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0:
         raise ValueError("mask must be a nonnegative int, not a bool")
+    # one pass over the mask's bytes; each nonzero byte's indices come
+    # from a table, so a mask costs its width, never width * set bits
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
     indices = []
-    while mask:
-        low = mask & -mask
-        indices.append(low.bit_length())
-        mask ^= low
+    for byte in _NONZERO_BYTE.finditer(data):
+        at = byte.start()
+        base = at << 3
+        indices.extend([base + i for i in _BYTE_INDICES[data[at]]])
     return indices
+
+
+# the 1-based indices of each byte value's set bits, lowest first: the
+# values with bit i-1 set are those below 2^(i-1), each extended by i
+_BYTE_INDICES = reduce(lambda table, i: table + [t + (i,) for t in table], range(1, 9), [()])
+_NONZERO_BYTE = re.compile(rb"[^\0]")
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +230,25 @@ def _level_masks(arity: int) -> tuple[int, ...]:
             span <<= 1
         masks.append(m)
     return tuple(masks)
+
+
+def _packed_partial(bits: int, arity: int, bit: int) -> int:
+    """The Boolean partial in the variable with mask `bit` (= 1 << i) of a
+    packed coefficient vector: monomial m holding the bit moves down 2^i =
+    `bit` positions to m ^ bit, and level mask i keeps exactly those."""
+    return (bits >> bit) & _level_masks(arity)[bit.bit_length() - 1]
+
+
+def _packed_pays(work: int, arity: int, outputs: int = 1, overhead: int = 0) -> bool:
+    """The size rule between an operation's two routes.
+
+    The term route costs `work` term operations.  The packed route ends in
+    `outputs` crossings from 2^arity-entry packed vectors back to term
+    sets, and costs about outputs * (2^arity + overhead) of them, its
+    fixed costs (packing operands, butterflies) folded into `overhead`.
+    Above MAX_DENSE_ARITY there are no packed vectors.
+    """
+    return arity <= MAX_DENSE_ARITY and work > outputs * ((1 << arity) + overhead)
 
 
 def mobius_transform(bits: int, arity: int) -> int:
@@ -349,17 +418,13 @@ class ZhegalkinPoly(_Value):
         _check_same_arity(self, other)
         n = self.arity
         pairs = len(self.terms) * len(other.terms)
-        if n <= MAX_DENSE_ARITY:
-            if pairs > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
-                # the product is the pointwise AND of the two truth tables
-                bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
-                return _poly_from_packed(n, _butterfly(bits, n))
-        elif pairs > 1 << MAX_DENSE_ARITY:
+        if _packed_pays(pairs, n, overhead=_DENSE_PRODUCT_OVERHEAD):
+            # the product is the pointwise AND of the two truth tables
+            bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
+            return _poly_from_packed(n, _butterfly(bits, n))
+        if n > MAX_DENSE_ARITY:
             # the fold's work and result are bounded by the largest dense table
-            raise ValueError(
-                f"product of {len(self.terms)} x {len(other.terms)} terms exceeds the "
-                f"term-pair budget 2^{MAX_DENSE_ARITY} = {1 << MAX_DENSE_ARITY}"
-            )
+            _check_pair_budget("product", len(self.terms), len(other.terms), "term")
         # folded inline: feeding _xor_fold a generator ran ~1.2x slower (dense n=10)
         acc = set()
         for a in self.terms:

@@ -10,10 +10,12 @@ a time via the Boolean partial derivative.
 
 from __future__ import annotations
 
+from math import comb
 from types import MappingProxyType
 
-from .anf import (ZhegalkinPoly, _check_positive, _check_same_arity, _make_poly, _new,
-                  _Value, indices_from_mask, mask_from_indices)
+from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
+                  _check_same_arity, _coeffs, _make_poly, _new, _packed_pays, _packed_partial,
+                  _poly_from_packed, _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
 
@@ -94,10 +96,18 @@ class KForm(_Value):
 
         If the degrees sum past the arity every index pair overlaps, so the
         result is the canonical zero form capped at degree n.
+
+        The work is bounded before it starts: more than 2^MAX_DENSE_ARITY
+        coefficient pairs, or above MAX_DENSE_ARITY more than that many
+        term pairs in all, raise ValueError.
         """
         if not isinstance(other, KForm):
             raise TypeError("wedge expects a KForm")
         _check_same_arity(self, other)
+        _check_pair_budget("wedge", len(self.coeffs), len(other.coeffs), "coefficient")
+        if self.arity > MAX_DENSE_ARITY:
+            # each coefficient product is a term-pair fold here
+            _check_pair_budget("wedge", _term_count(self), _term_count(other), "term")
         out_degree = min(self.degree + other.degree, self.arity)
         acc = {}
         for ka, fa in self.coeffs.items():
@@ -112,38 +122,16 @@ class KForm(_Value):
         Boolean partial of the coefficient.  A top-degree form maps to the
         canonical zero form (degree stays capped at n).
 
-        Costs per term, not per arity: each term m of the coefficient at
-        `key` sends m ^ bit to `key | bit` for every set bit of m & ~key,
-        so only the variables a term holds are visited.  Within one
-        coefficient m -> m ^ bit is injective, so nothing cancels there.
-        Coefficients of different keys meet in one mutable term set per
-        output key, by symmetric difference, and each set is frozen into
-        a polynomial once at the end.
+        Sparse forms cost per term, not per arity: each term m of the
+        coefficient at `key` sends m ^ bit to `key | bit` for every set
+        bit of m & ~key, so only the variables a term holds are visited.
+        Dense forms at n <= MAX_DENSE_ARITY take the packed route: each
+        partial is one shift and one mask of the coefficient's packed
+        vector, the partials XOR per output index set, and each output
+        is built from its vector and keeps it.  The size rule (see the
+        `anf` module) picks the route; both give the same form.
         """
-        n = self.arity
-        out_degree = min(self.degree + 1, n)
-        acc = {}
-        for key, poly in self.coeffs.items():
-            partials = {}
-            outside = ~key
-            for m in poly.terms:
-                free = m & outside
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    if bit in partials:
-                        partials[bit].append(m ^ bit)
-                    else:
-                        partials[bit] = [m ^ bit]
-            for bit, terms in partials.items():
-                out = key | bit
-                if out in acc:
-                    acc[out].symmetric_difference_update(terms)
-                else:
-                    acc[out] = set(terms)
-        return _make_form(n, out_degree, {
-            out: _make_poly(n, frozenset(terms)) for out, terms in acc.items() if terms
-        })
+        return _d_packed(self) if _dense(self) else _d_terms(self)
 
     # a mappingproxy neither hashes nor pickles
     def __hash__(self):
@@ -165,6 +153,71 @@ class KForm(_Value):
             idx = ",".join(str(i) for i in indices_from_mask(key))
             parts.append(f"({self.coeffs[key]})*d{{{idx}}}")
         return " + ".join(parts)
+
+
+def _dense(w: KForm) -> bool:
+    """Whether the size rule sends d of w, and the boundary integral of an
+    (n-1)-form w, through packed vectors."""
+    n, k = w.arity, w.degree
+    if n > MAX_DENSE_ARITY:  # no packed vectors, and C(n, k+1) may be huge
+        return False
+    # each term yields at most n - k partial terms, and the outputs are
+    # at most the (k+1)-sets and at most (n - k) per coefficient
+    work = (n - k) * _term_count(w)
+    outputs = min(comb(n, k + 1), (n - k) * len(w.coeffs))
+    return _packed_pays(work, n, outputs)
+
+
+def _term_count(w: KForm) -> int:
+    return sum([len(poly.terms) for poly in w.coeffs.values()])
+
+
+def _d_terms(w: KForm) -> KForm:
+    # Within one coefficient m -> m ^ bit is injective, so nothing cancels
+    # there.  Coefficients of different keys meet in one mutable term set
+    # per output key, by symmetric difference, and each set is frozen
+    # into a polynomial once at the end.
+    n = w.arity
+    acc = {}
+    for key, poly in w.coeffs.items():
+        partials = {}
+        outside = ~key
+        for m in poly.terms:
+            free = m & outside
+            while free:
+                bit = free & -free
+                free ^= bit
+                if bit in partials:
+                    partials[bit].append(m ^ bit)
+                else:
+                    partials[bit] = [m ^ bit]
+        for bit, terms in partials.items():
+            out = key | bit
+            if out in acc:
+                acc[out].symmetric_difference_update(terms)
+            else:
+                acc[out] = set(terms)
+    return _make_form(n, min(w.degree + 1, n), {
+        out: _make_poly(n, frozenset(terms)) for out, terms in acc.items() if terms
+    })
+
+
+def _d_packed(w: KForm) -> KForm:
+    # w.arity <= MAX_DENSE_ARITY; the partials of each coefficient's packed
+    # vector XOR into one int per output key
+    n = w.arity
+    acc = {}
+    for key, poly in w.coeffs.items():
+        bits = _coeffs(poly)
+        free = ((1 << n) - 1) ^ key
+        while free:
+            bit = free & -free
+            free ^= bit
+            out = key | bit
+            acc[out] = acc.get(out, 0) ^ _packed_partial(bits, n, bit)
+    return _make_form(n, min(w.degree + 1, n), {
+        out: _poly_from_packed(n, bits) for out, bits in acc.items() if bits
+    })
 
 
 def _check_degree(degree, arity: int):

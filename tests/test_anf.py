@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import time
 import tracemalloc
 from itertools import product
 from math import isqrt
@@ -161,13 +162,18 @@ def test_product_term_pair_budget_above_the_dense_arity():
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_every_construction_path_packs_its_terms(n):
-    # the three builders from a packed vector keep it, the rest keep
-    # nothing; kept or packed anew, it is the packing of the terms
+    # the builders from a packed vector keep it, the rest keep nothing;
+    # kept or packed anew, it is the packing of the terms
     rng = random.Random(60 + n)
     w = 1 << n
     p = ZhegalkinPoly.from_coeff_bits(n, rng.getrandbits(w) | 1)
     full = ZhegalkinPoly.from_coeff_bits(n, (1 << w) - 1)
+    top = (1 << n) - 1
+    dense = KForm(n, n - 1, {top ^ (1 << i): ZhegalkinPoly.from_coeff_bits(n, rng.getrandbits(w))
+                             for i in range(n)})
     built = [
+        (dense.d().coeffs[top], True),  # the packed route of d
+        (KForm.from_poly(p).d().coeffs[1], False),  # its term route
         (p, True),
         (ZhegalkinPoly.from_truth_table(TruthTable(n, rng.getrandbits(w))), True),
         (full * p, True),  # |full| * |p| > 2^n + 256: the table route
@@ -473,6 +479,20 @@ def test_mask_helpers():
         mask_from_indices([4], 3)
     with pytest.raises(ValueError):
         mask_from_indices([0], 3)
+
+
+def test_indices_from_mask_is_linear_in_the_width():
+    width = 10**5
+    full = (1 << width) - 1
+    masks = [full, full // 3, full // 3 * 2, random.Random(3).getrandbits(width),
+             1 << (width - 1), (1 << (width - 1)) | 1]
+    for mask in masks:
+        # reference: the binary digits, lowest first
+        expected = [i + 1 for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
+        assert indices_from_mask(mask) == expected
+    start = time.perf_counter()
+    assert len(indices_from_mask(full)) == width
+    assert time.perf_counter() - start < 0.1
 
 
 def test_str_canonical_order():

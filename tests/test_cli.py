@@ -1,3 +1,4 @@
+import contextlib
 import io
 import random
 import re
@@ -6,9 +7,12 @@ import shlex
 import sys
 import time
 import types
+from datetime import timedelta
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zhegalkin
 from zhegalkin import TruthTable, cli, parse_anf, parse_form, parse_table
@@ -81,6 +85,19 @@ def test_anf_product_over_the_term_pair_budget():
                       timeout=60, preexec_fn=_cap_address_space)
     assert done.returncode == 2 and done.stdout == ""
     assert "term-pair budget 2^24" in done.stderr
+    assert time.perf_counter() - start < 2
+
+
+def test_wedge_over_the_coefficient_pair_budget():
+    # two 4-forms with 5000 coefficients each: 25M coefficient pairs, about
+    # 14M of them disjoint, are refused before the loop
+    keys = (",".join(map(str, c)) for c in islice(combinations(range(1, 31), 4), 5000))
+    form = " + ".join(f"(1)*d{{{key}}}" for key in keys)
+    start = time.perf_counter()
+    done = run_module("wedge", "--n", "30", form, form,
+                      timeout=60, preexec_fn=_cap_address_space)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "coefficient-pair budget 2^24" in done.stderr
     assert time.perf_counter() - start < 2
 
 
@@ -308,6 +325,93 @@ def test_public_surface_is_each_submodules_all():
         for name in m.__all__:
             assert getattr(zhegalkin, name) is getattr(m, name)
     assert "Face" not in names and not hasattr(zhegalkin, "Face")
+
+
+# fuzzed text: the characters of every input format, whitespace, and a few
+# that none accepts; a run of the formats' tokens; or a sum of distinct terms
+# of one degree.  Garbage holds at least one "@", which no format has.
+_FUZZ_TEXT = st.one_of(
+    st.text(alphabet="x0123456789*+^&|!()dD{},:- \tabfnortAF@#\u0663\u00e9", max_size=30),
+    st.lists(st.sampled_from(["x1", "x2", "x3", "x1*x2", "1", "0", " + ", "^", "&", "|", "!",
+                              "(", ")", ")*d{", "d{1}", "d{1,2}", "}", ",", "3:E8", "2:8",
+                              "xor", "not", "D1", " "]),
+             max_size=12).map("".join),
+    st.sampled_from([("1", "x1", "x1*x2", "x2*x3"),
+                     ("(x2)*d{1}", "(x1)*d{2}", "(x1*x2)*d{3}"),
+                     ("(1)*d{1,2}", "(x3)*d{1,2}", "(x1)*d{2,3}")]).flatmap(
+        lambda terms: st.lists(st.sampled_from(terms), min_size=1, max_size=4, unique=True)
+        .map(" + ".join)),
+)
+_GARBAGE = st.tuples(_FUZZ_TEXT, _FUZZ_TEXT).map("@".join)
+
+
+@st.composite
+def _cli_argv(draw, text, number):
+    """argv for one subcommand, every input from `text` and every number
+    from `number`.  Each argv carries --n, so garbage numbers alone make
+    every argv garbage."""
+    n = ["--n", draw(number)]
+    command = draw(st.sampled_from(
+        ["anf", "table", "derive", "d", "wedge", "integrate", "stokes", "bench"]))
+    if command in ("anf", "table", "d"):
+        return [command, *n, draw(text)]
+    if command == "derive":
+        return [command, *n, "--var", draw(number), draw(text)]
+    if command == "wedge":
+        return [command, *n, draw(text), draw(text)]
+    if command == "integrate":
+        mode = draw(st.sampled_from(["--top", "--boundary", "--face"]))
+        face = [draw(text)] if mode == "--face" else []
+        return [command, *n, mode, *face, draw(text)]
+    if command == "stokes":
+        mode = draw(st.sampled_from(["form", "--exhaustive", "--random"]))
+        if mode == "form":
+            return [command, *n, draw(text)]
+        if mode == "--exhaustive":
+            return [command, *n, mode]
+        return [command, *n, mode, draw(number), "--seed", draw(number)]
+    return [command, *n, "--reps", draw(number)]
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of cli.main; standard input holds an
+    expression, and any exception but argparse's exit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO("x1 | x2\n")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+# small numbers keep every valid argv cheap: n <= 6, at most 6 samples
+_SMALL_NUMBER = st.sampled_from(["1", "2", "3", "3", "4", "5", "6", "0", "-1", "", "3@"])
+_FUZZ = settings(derandomize=True, database=None, deadline=timedelta(seconds=1))
+
+
+@settings(_FUZZ, max_examples=200)
+@given(_cli_argv(_FUZZ_TEXT, _SMALL_NUMBER))
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out == "" and err, argv
+    else:
+        assert out and err == "", argv
+
+
+@_FUZZ
+@given(_cli_argv(_GARBAGE, _GARBAGE))
+def test_garbage_argv_exits_2(argv):
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (2, ""), argv
+    assert err
 
 
 def test_unknown_subcommand(capsys):

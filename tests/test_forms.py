@@ -2,13 +2,15 @@ import math
 import random
 import time
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from zhegalkin import KForm, ZhegalkinPoly, differential
+from zhegalkin.forms import _d_packed, _d_terms, _dense
 
-from helpers import d_by_cofactors, masks_of_size, random_form, random_poly
+from helpers import (bit_positions, d_by_cofactors, masks_of_size, pack_bits, random_form,
+                     random_poly)
 
 
 def test_construction_validation():
@@ -149,6 +151,26 @@ def test_wedge_past_top_degree_is_canonical_zero():
     assert w.is_zero and w.degree == 2
 
 
+def test_wedge_pair_budgets():
+    one = {n: ZhegalkinPoly.one(n) for n in (20, 30)}
+    # more than 2^24 coefficient pairs, inside and above the dense arity
+    for n, k in ((20, 5), (30, 4)):
+        a = KForm(n, k, dict.fromkeys(islice(masks_of_size(n, k), 5000), one[n]))
+        with pytest.raises(ValueError, match=r"5000 x 5000 coefficients exceeds the "
+                                             r"coefficient-pair budget 2\^24 = 16777216"):
+            a.wedge(a)
+    # above the dense arity, more than 2^24 term pairs in all: 30 x 171 terms
+    # a side, while each coefficient product stays inside the product's budget
+    rng = random.Random(5)
+    b = KForm(30, 1, {1 << i: ZhegalkinPoly(30, rng.sample(range(1 << 30), 171))
+                      for i in range(30)})
+    with pytest.raises(ValueError, match=r"5130 x 5130 terms exceeds the term-pair budget"):
+        b.wedge(b)
+    # inside both budgets the wedge runs
+    c = KForm(30, 1, {key: poly for key, poly in b.coeffs.items() if key != 1})
+    assert len(c.wedge(KForm.term(ZhegalkinPoly.one(30), [1])).coeffs) == 29
+
+
 def test_exterior_derivative_examples():
     w = KForm.term(ZhegalkinPoly.variable(2, 2), [1])
     assert str(w.d()) == "(1)*d{1,2}"
@@ -194,6 +216,67 @@ def test_d_matches_cofactor_oracle_on_every_basis_form():
                 for m in range(1 << n):
                     w = KForm(n, k, {key: ZhegalkinPoly(n, [m])})
                     assert w.d() == d_by_cofactors(w)
+
+
+def test_d_routes_agree_on_every_basis_monomial():
+    # both routes are F2-linear in the coefficient map (the term route XORs
+    # term sets, the packed route XORs vectors), so agreeing on every
+    # x^m d{I} proves they agree on every form up to n = 8
+    for n in range(1, 9):
+        monomials = [ZhegalkinPoly.from_coeff_bits(n, 1 << m) for m in range(1 << n)]
+        for key in range(1 << n):
+            for poly in monomials:
+                w = KForm(n, key.bit_count(), {key: poly})
+                a, b = _d_packed(w), _d_terms(w)
+                assert a.degree == b.degree
+                assert {k: p.terms for k, p in a.coeffs.items()} == {
+                    k: p.terms for k, p in b.coeffs.items()}
+
+
+def _dense_form(rng, n, k, kept):
+    # every index set gets a uniform random coefficient
+    coeffs = {}
+    for key in masks_of_size(n, k):
+        bits = rng.getrandbits(1 << n)
+        coeffs[key] = (ZhegalkinPoly.from_coeff_bits(n, bits) if kept
+                       else ZhegalkinPoly(n, bit_positions(bits, 1 << n)))
+    return KForm(n, k, coeffs)
+
+
+def test_d_matches_cofactor_oracle_on_both_routes():
+    rng = random.Random(727)
+    for n in range(2, 13):
+        # the oracle costs C(n, k) * (n - k) cofactor pairs per 2^n terms
+        for k in sorted({0, 1, n - 2, n - 1} if n <= 10 else {0, n - 1}):
+            for kept in (True, False):
+                w = _dense_form(rng, n, k, kept)
+                # about (k+1)/2 times the rule's bound for n - k partials of
+                # half-full coefficients, one crossing per (k+1)-set
+                if k != 1:
+                    assert _dense(w) == (k > 1)
+                dw = w.d()
+                assert dw == d_by_cofactors(w)
+                if n <= 8:
+                    assert str(dw) == str(_d_terms(w))
+                for poly in dw.coeffs.values():
+                    assert poly.coeff_bits() == pack_bits(m in poly.terms for m in range(1 << n))
+            keys = list(masks_of_size(n, k))
+            sparse = KForm(n, k, {key: ZhegalkinPoly(n, [rng.randrange(1 << n)])
+                                  for key in rng.sample(keys, min(2, len(keys)))})
+            assert not _dense(sparse)
+            assert sparse.d() == d_by_cofactors(sparse)
+
+
+def test_d_of_one_term_at_the_dense_arity_takes_the_term_route():
+    # the coefficient keeps a 2^24-bit vector, but a single term is sparse
+    n = 24
+    poly = ZhegalkinPoly.from_coeff_bits(n, 1 << 5)  # x1*x3
+    for w in (KForm.from_poly(poly), KForm.term(poly, range(2, 25))):
+        assert not _dense(w)
+        start = time.perf_counter()
+        dw = w.d()
+        assert time.perf_counter() - start < 0.05
+        assert dw == _d_terms(w)
 
 
 def test_d_is_additive():
@@ -298,7 +381,8 @@ def test_leibniz_holds_trivially_for_one_form_pairs():
 
 
 def test_str_cost_follows_index_count_not_arity():
-    # index sets are walked per set bit, so d{1000000} costs one index
+    # index sets are walked one byte per 8 indices of width, so d{1000000}
+    # costs 125 kB of bytes, not a table per index
     w = KForm.term(ZhegalkinPoly.variable(10**6, 1), [10**6])
     tracemalloc.start()
     try:
