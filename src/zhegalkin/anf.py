@@ -32,7 +32,7 @@ pickled.  Packed tables are walked per entry and monomials per set bit
 Routes: `*` and `KForm.d` each have a route over term sets and one over
 packed vectors.  One size rule, `_packed_pays`, weighs the term route's
 work against the crossings the packed route makes, and picks; above
-MAX_DENSE_ARITY it always picks the term route.
+MAX_DENSE_ARITY there are no packed vectors, and both take the term route.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
@@ -48,12 +48,14 @@ Exterior derivative: on a k-form with T terms in all, the term route of
 `d` makes at most (n-k)*T partial terms.  The packed route makes one
 word-wide partial (`_packed_partial`: a shift and a mask) per coefficient
 and free index, and crosses once per output (k+1)-set, at most
-min(C(n, k+1), (n-k) * coefficients) of them, with no overhead.  On
-(n-1)-forms (one output) with n coefficients of t terms each, the rule
-takes the packed route from the t in the first row; the packed route
-measured faster from the t in the second row when the coefficients keep
-their vectors, and from the third when they are packed first (best of 3
-timings of >= 10 ms each, Python 3.11, shared 2-core x86-64 host):
+min(C(n, k+1), (n-k) * coefficients) of them, with no overhead, and once
+more per coefficient that keeps no vector, to pack it.  On (n-1)-forms
+(one output) with n coefficients of t terms each that keep their
+vectors, the rule takes the packed route from the t in the first row;
+the packed route measured faster from the t in the second row when the
+coefficients keep their vectors, and from the third when they are packed
+first (best of 3 timings of >= 10 ms each, Python 3.11, shared 2-core
+x86-64 host):
 
     n       2  3  4   5   6   7   8   9   10   11   12   13    14    15    16
     rule    3  3  5   7  11  19  33  57  103  187  342  631  1171  2185  4097
@@ -61,11 +63,11 @@ timings of >= 10 ms each, Python 3.11, shared 2-core x86-64 host):
     packed  -  -  -  18  23  33  37  47   77  120  182  418   653  1280  2476
 
 (- : the term route won even at t = 2^n.)  So where the vectors are kept
-the rule is conservative from n = 3 on.  Where they are not, it takes the
-packed route early at n <= 8 (from 7 instead of 18 terms at n = 5); both
-routes cost tens of microseconds there.  On 0-forms (n outputs) the rule
-never takes the packed route, which measured faster from about 2^n/5
-terms for n >= 9.
+the rule is conservative from n = 3 on.  Where they are not, it counts
+n + 1 crossings, more than n*t ever outweighs, so it keeps the term route
+and leaves the packed route's lead past the third row unused.  On 0-forms
+(n outputs) the rule never takes the packed route, which measured faster
+from about 2^n/5 terms for n >= 9.
 """
 
 from __future__ import annotations
@@ -239,16 +241,16 @@ def _packed_partial(bits: int, arity: int, bit: int) -> int:
     return (bits >> bit) & _level_masks(arity)[bit.bit_length() - 1]
 
 
-def _packed_pays(work: int, arity: int, outputs: int = 1, overhead: int = 0) -> bool:
-    """The size rule between an operation's two routes.
+def _packed_pays(work: int, arity: int, crossings: int = 1, overhead: int = 0) -> bool:
+    """The size rule between an operation's two routes, for arity <=
+    MAX_DENSE_ARITY (above it there are no packed vectors).
 
-    The term route costs `work` term operations.  The packed route ends in
-    `outputs` crossings from 2^arity-entry packed vectors back to term
-    sets, and costs about outputs * (2^arity + overhead) of them, its
-    fixed costs (packing operands, butterflies) folded into `overhead`.
-    Above MAX_DENSE_ARITY there are no packed vectors.
+    The term route costs `work` term operations.  The packed route makes
+    `crossings` crossings between 2^arity-entry packed vectors and term
+    sets, and costs about crossings * (2^arity + overhead) of them, its
+    fixed costs (butterflies, packing operands) folded into `overhead`.
     """
-    return arity <= MAX_DENSE_ARITY and work > outputs * ((1 << arity) + overhead)
+    return work > crossings * ((1 << arity) + overhead)
 
 
 def mobius_transform(bits: int, arity: int) -> int:
@@ -418,13 +420,14 @@ class ZhegalkinPoly(_Value):
         _check_same_arity(self, other)
         n = self.arity
         pairs = len(self.terms) * len(other.terms)
-        if _packed_pays(pairs, n, overhead=_DENSE_PRODUCT_OVERHEAD):
+        if n > MAX_DENSE_ARITY:
+            # no tables: the fold's work and result are bounded by the
+            # largest dense table
+            _check_pair_budget("product", len(self.terms), len(other.terms), "term")
+        elif _packed_pays(pairs, n, overhead=_DENSE_PRODUCT_OVERHEAD):
             # the product is the pointwise AND of the two truth tables
             bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
             return _poly_from_packed(n, _butterfly(bits, n))
-        if n > MAX_DENSE_ARITY:
-            # the fold's work and result are bounded by the largest dense table
-            _check_pair_budget("product", len(self.terms), len(other.terms), "term")
         # folded inline: feeding _xor_fold a generator ran ~1.2x slower (dense n=10)
         acc = set()
         for a in self.terms:

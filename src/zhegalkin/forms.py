@@ -156,16 +156,18 @@ class KForm(_Value):
 
 
 def _dense(w: KForm) -> bool:
-    """Whether the size rule sends d of w, and the boundary integral of an
-    (n-1)-form w, through packed vectors."""
+    """Whether the size rule sends d of w through packed vectors."""
     n, k = w.arity, w.degree
     if n > MAX_DENSE_ARITY:  # no packed vectors, and C(n, k+1) may be huge
         return False
-    # each term yields at most n - k partial terms, and the outputs are
-    # at most the (k+1)-sets and at most (n - k) per coefficient
+    polys = w.coeffs.values()
+    # each term yields at most n - k partial terms; the packed route crosses
+    # once per output (k+1)-set, at most (n - k) per coefficient, and once
+    # per coefficient that keeps no vector, to pack it
     work = (n - k) * _term_count(w)
-    outputs = min(comb(n, k + 1), (n - k) * len(w.coeffs))
-    return _packed_pays(work, n, outputs)
+    outputs = min(comb(n, k + 1), (n - k) * len(polys))
+    unkept = len([poly for poly in polys if not hasattr(poly, "_packed")])
+    return _packed_pays(work, n, outputs + unkept)
 
 
 def _term_count(w: KForm) -> int:

@@ -22,10 +22,8 @@ of g's term count.  A monomial is 1 at I iff it lacks x_k, so the terms
 without x_k cancel in g(all-ones) ^ g(I), which is the parity of the
 number of terms holding x_k.  The integrals read these parities; only a
 single face (k, 0) evaluates g, at I.  The boundary integral counts the
-terms holding x_k in one pass over them, or, for a form that `d` would
-take through packed vectors (the size rule in `forms._dense`), reads the
-popcount of g's packed partial in x_k: one shift, one mask and one
-popcount per coefficient.
+terms holding x_k in one pass over them, dense forms included: it makes
+no output, so a packed route would save no crossing.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive, _coeffs,
-                  _packed_partial, _poly_from_packed)
-from .forms import KForm, _dense, _make_form
+from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive,
+                  _poly_from_packed)
+from .forms import KForm, _make_form
 
 __all__ = [
     "StokesReport",
@@ -75,34 +73,17 @@ def integrate_face(w: KForm, face) -> int:
 
 
 def integrate_boundary(w: KForm) -> int:
-    """Integral of an (n-1)-form over the boundary: XOR over all 2n faces.
-    Sparse forms cost per term, dense ones per coefficient."""
+    """Integral of an (n-1)-form over the boundary: XOR over all 2n faces."""
     n = w.arity
     if w.degree != n - 1:
         raise ValueError(f"boundary integral needs degree {n - 1}, got {w.degree}")
-    return _boundary_packed(w) if _dense(w) else _boundary_terms(w)
-
-
-def _boundary_terms(w: KForm) -> int:
-    # the parity of the number of terms that hold each coefficient's axis
-    full = (1 << w.arity) - 1
+    full = (1 << n) - 1
     holding = 0
     for key, poly in w.coeffs.items():
         axis = full ^ key
         for m in poly.terms:
             if m & axis:
                 holding += 1
-    return holding & 1
-
-
-def _boundary_packed(w: KForm) -> int:
-    # the same parity: each coefficient's partial in its axis has one term
-    # per term that holds the axis
-    n = w.arity
-    full = (1 << n) - 1
-    holding = 0
-    for key, poly in w.coeffs.items():
-        holding += _packed_partial(_coeffs(poly), n, full ^ key).bit_count()
     return holding & 1
 
 
@@ -192,7 +173,7 @@ def stokes_sweep(
 
 def _sweep_forms(arity, slots, exhaustive, count, seed):
     # one fitting coefficient vector per slot, so forms are built unchecked
-    # and each coefficient keeps its vector for d and the boundary integral;
+    # and each coefficient keeps its vector for d;
     # the exhaustive sweep cuts a counter into slot-wide fields, lowest first
     width = 1 << arity
     if exhaustive:

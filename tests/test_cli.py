@@ -342,17 +342,20 @@ _FUZZ_TEXT = st.one_of(
         lambda terms: st.lists(st.sampled_from(terms), min_size=1, max_size=4, unique=True)
         .map(" + ".join)),
 )
-_GARBAGE = st.tuples(_FUZZ_TEXT, _FUZZ_TEXT).map("@".join)
+# A leading "-" would make argparse read the text as an option.
+_GARBAGE = st.tuples(_FUZZ_TEXT, _FUZZ_TEXT).map("@".join).filter(
+    lambda text: not text.startswith("-"))
 
 
 @st.composite
-def _cli_argv(draw, text, number):
-    """argv for one subcommand, every input from `text` and every number
-    from `number`.  Each argv carries --n, so garbage numbers alone make
-    every argv garbage."""
+def _cli_argv(draw, text, number, face, reads_text=False):
+    """argv for one subcommand, every input from `text`, every number from
+    `number` and the face from `face`.  Each argv carries --n, so garbage
+    numbers alone make every argv garbage.  With `reads_text`, only argv
+    that hand a text input to a reader are drawn."""
     n = ["--n", draw(number)]
-    command = draw(st.sampled_from(
-        ["anf", "table", "derive", "d", "wedge", "integrate", "stokes", "bench"]))
+    commands = ["anf", "table", "derive", "d", "wedge", "integrate", "stokes"]
+    command = draw(st.sampled_from(commands if reads_text else [*commands, "bench"]))
     if command in ("anf", "table", "d"):
         return [command, *n, draw(text)]
     if command == "derive":
@@ -361,10 +364,9 @@ def _cli_argv(draw, text, number):
         return [command, *n, draw(text), draw(text)]
     if command == "integrate":
         mode = draw(st.sampled_from(["--top", "--boundary", "--face"]))
-        face = [draw(text)] if mode == "--face" else []
-        return [command, *n, mode, *face, draw(text)]
+        return [command, *n, mode, *([draw(face)] if mode == "--face" else []), draw(text)]
     if command == "stokes":
-        mode = draw(st.sampled_from(["form", "--exhaustive", "--random"]))
+        mode = draw(st.sampled_from(["form"] if reads_text else ["form", "--exhaustive", "--random"]))
         if mode == "form":
             return [command, *n, draw(text)]
         if mode == "--exhaustive":
@@ -396,7 +398,7 @@ _FUZZ = settings(derandomize=True, database=None, deadline=timedelta(seconds=1))
 
 
 @settings(_FUZZ, max_examples=200)
-@given(_cli_argv(_FUZZ_TEXT, _SMALL_NUMBER))
+@given(_cli_argv(_FUZZ_TEXT, _SMALL_NUMBER, _FUZZ_TEXT))
 def test_fuzzed_argv_exits_with_a_documented_code(argv):
     code, out, err = _run_in_process(argv)
     assert code in (0, 1, 2), (argv, code)
@@ -407,8 +409,19 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
 
 
 @_FUZZ
-@given(_cli_argv(_GARBAGE, _GARBAGE))
-def test_garbage_argv_exits_2(argv):
+@given(_cli_argv(_GARBAGE, st.sampled_from(["1", "2", "3", "4", "5", "6"]),
+                 st.sampled_from(["1,0", "1,1"]), reads_text=True))
+def test_garbage_text_exits_2(argv):
+    # numbers and faces are valid, so the garbage reaches a text reader,
+    # whose error the handler prints (argparse would print its usage)
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: "), (argv, err)
+
+
+@settings(_FUZZ, max_examples=30)
+@given(_cli_argv(st.just("x1"), _GARBAGE, st.just("1,0")))
+def test_garbage_numbers_exit_2(argv):
     code, out, err = _run_in_process(argv)
     assert (code, out) == (2, ""), argv
     assert err

@@ -251,9 +251,10 @@ def test_d_matches_cofactor_oracle_on_both_routes():
             for kept in (True, False):
                 w = _dense_form(rng, n, k, kept)
                 # about (k+1)/2 times the rule's bound for n - k partials of
-                # half-full coefficients, one crossing per (k+1)-set
-                if k != 1:
-                    assert _dense(w) == (k > 1)
+                # half-full kept coefficients, one crossing per (k+1)-set;
+                # packing each coefficient first tips every case to terms
+                if not (kept and k == 1):
+                    assert _dense(w) == (kept and k > 1)
                 dw = w.d()
                 assert dw == d_by_cofactors(w)
                 if n <= 8:
@@ -265,6 +266,27 @@ def test_d_matches_cofactor_oracle_on_both_routes():
                                   for key in rng.sample(keys, min(2, len(keys)))})
             assert not _dense(sparse)
             assert sparse.d() == d_by_cofactors(sparse)
+
+
+def test_d_packs_no_coefficient_for_the_packed_route():
+    # an (n-1)-form at n = 5, 7 terms per coefficient: with kept vectors
+    # 5 * 7 partial terms outweigh the one 2^5-entry output crossing, but
+    # packing the 5 coefficients first would cost 5 crossings more
+    n = 5
+    full = (1 << n) - 1
+    rng = random.Random(17)
+    vectors = {full ^ (1 << i): pack_bits(m in terms for m in range(1 << n))
+               for i, terms in enumerate(set(rng.sample(range(1 << n), 7)) for _ in range(n))}
+    kept = KForm(n, n - 1, {key: ZhegalkinPoly.from_coeff_bits(n, bits)
+                            for key, bits in vectors.items()})
+    unkept = KForm(n, n - 1, {key: ZhegalkinPoly(n, bit_positions(bits, 1 << n))
+                              for key, bits in vectors.items()})
+    assert kept == unkept
+    assert _dense(kept) and not _dense(unkept)
+    assert kept.d() == unkept.d() == _d_terms(unkept)
+    # full coefficients too: n * 2^n partial terms never outweigh n + 1 crossings
+    ones = ZhegalkinPoly(n, range(1 << n))
+    assert not _dense(KForm(n, n - 1, dict.fromkeys(vectors, ones)))
 
 
 def test_d_of_one_term_at_the_dense_arity_takes_the_term_route():

@@ -16,8 +16,7 @@ from zhegalkin import (
     stokes_check,
     stokes_sweep,
 )
-from zhegalkin.forms import _dense
-from zhegalkin.integration import _boundary_packed, _boundary_terms, _slot_masks, _sweep_forms
+from zhegalkin.integration import _slot_masks, _sweep_forms
 
 from helpers import all_polys, face_sum, masks_of_size, random_form, random_poly
 
@@ -78,18 +77,7 @@ def test_face_and_boundary_integrals_match_face_sum():
         assert integrate_boundary(w) == boundary
 
 
-def test_boundary_routes_agree_on_every_basis_monomial():
-    # both routes add one parity per coefficient, so they are F2-linear and
-    # agreeing on every x^m d{[n] minus k} proves they agree up to n = 8
-    for n in range(1, 9):
-        full = (1 << n) - 1
-        for k in range(n):
-            for m in range(1 << n):
-                w = KForm(n, n - 1, {full ^ (1 << k): ZhegalkinPoly.from_coeff_bits(n, 1 << m)})
-                assert _boundary_packed(w) == _boundary_terms(w) == (m >> k) & 1
-
-
-def test_boundary_matches_face_sums_on_both_routes():
+def test_boundary_matches_face_sums_on_dense_and_sparse_forms():
     rng = random.Random(131)
     for n in range(1, 13):
         full = (1 << n) - 1
@@ -102,8 +90,6 @@ def test_boundary_matches_face_sums_on_both_routes():
         ]
         sparse = KForm(n, n - 1, {rng.choice(keys): ZhegalkinPoly(n, [rng.randrange(1 << n)])})
         for w in dense + [sparse]:
-            # n coefficients of about 2^(n-1) terms are over the rule's 2^n
-            assert _dense(w) == (w is not sparse and n >= 3)
             expected = 0
             for axis in range(1, n + 1):
                 expected ^= face_sum(w, axis, 0) ^ face_sum(w, axis, 1)
@@ -111,10 +97,10 @@ def test_boundary_matches_face_sums_on_both_routes():
             assert stokes_check(w).passed
 
 
-def test_boundary_of_one_term_at_the_dense_arity_takes_the_term_route():
+def test_boundary_of_one_term_at_the_dense_arity_costs_its_term():
+    # the coefficient keeps a 2^24-bit vector; the integral reads one term
     n = 24
     w = KForm.term(ZhegalkinPoly.from_coeff_bits(n, 1 << 5), range(2, 25))  # (x1*x3)*d{2..24}
-    assert not _dense(w)
     start = time.perf_counter()
     assert integrate_boundary(w) == 1
     assert time.perf_counter() - start < 0.05
@@ -241,7 +227,7 @@ def test_sweep_forms_equal_forms_from_the_public_constructors():
                         coeffs[slot] = ZhegalkinPoly.from_coeff_bits(n, bits)
                 want = KForm(n, n - 1, coeffs)
                 assert form == want and hash(form) == hash(want) and str(form) == str(want)
-                # each coefficient keeps its drawn vector for d and the integral
+                # each coefficient keeps its drawn vector for d
                 assert {slot: poly._packed for slot, poly in form.coeffs.items()} == {
                     slot: poly.coeff_bits() for slot, poly in coeffs.items()}
                 count += 1
