@@ -11,28 +11,29 @@ the vertex index k holds the value of x_j, so entry k of the table is
 f(v_k).
 
 Representation rule: the term set (a frozenset of monomial masks) is the
-only store for a polynomial.  A vertex is an int mask (bit j-1 = x_j), and
-a packed int (entry k = bit k) is the one format for truth tables and
-coefficient vectors; on it the table<->ANF conversion is a handful of
-word-wide shift/xor passes (`mobius_transform`).  Every crossing between
-the two is validated once, at the public edge: a packed value from a
-caller by `_check_packed` (a `TruthTable` by its constructor), a term set
-by its arity; past that edge the butterfly runs unchecked.  Exactly two
+canonical store of a polynomial: it alone is compared, hashed and
+pickled.  A vertex is an int mask (bit j-1 = x_j), and a packed int
+(entry k = bit k) is the one format for truth tables and coefficient
+vectors; on it the table<->ANF conversion is a handful of word-wide
+shift/xor passes (`mobius_transform`).  Every crossing between the two is
+validated once, at the public edge: a packed value from a caller by
+`_check_packed` (a `TruthTable` by its constructor), a term set by its
+arity; past that edge the butterfly runs unchecked.  Exactly two
 functions cross, each linear in the table size: `_positions` (packed int
 to ascending positions) and `_pack` (positions to packed int).  A
 polynomial built by `from_coeff_bits`, `from_truth_table` or the table
-route of `*` keeps the packed coefficient vector it was built from in a
-private slot, set only while it is built, so `coeff_bits`,
-`to_truth_table` and `*` never pack it again; so do the outputs of the
-packed route of `KForm.d`.  The vector is never compared, hashed or
-pickled.  Packed tables are walked per entry and monomials per set bit
-(`m & -m`), so a monomial costs its factors, not its width;
-`indices_from_mask` walks a mask's bytes once.
+route of `*` also keeps the packed coefficient vector it was built from,
+as derived data in a private slot set only while it is built, so
+`coeff_bits`, `to_truth_table` and `*` never pack it again; so do the
+outputs of the packed route of `KForm.d`.  Packed tables are walked per
+entry and monomials per set bit (`m & -m`), so a monomial costs its
+factors, not its width; `indices_from_mask` walks a mask's bytes once.
 
 Routes: `*` and `KForm.d` each have a route over term sets and one over
-packed vectors.  One size rule, `_packed_pays`, weighs the term route's
-work against the crossings the packed route makes, and picks; above
-MAX_DENSE_ARITY there are no packed vectors, and both take the term route.
+packed vectors, and each picks by its own size rule, written where it is
+used: the term route's work against the crossings the packed route makes.
+Above MAX_DENSE_ARITY there are no packed vectors, and both take the term
+route.  `d`'s rule is documented beside it, in `forms`.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
@@ -43,31 +44,6 @@ crossing, and its butterflies and operand crossings add an overhead of
 otherwise.  Just over that threshold the table route measured 1.7-4.7x
 faster for n = 5..16.  Above MAX_DENSE_ARITY there are no tables, and `*`
 refuses more than 2^MAX_DENSE_ARITY term pairs before folding.
-
-Exterior derivative: on a k-form with T terms in all, the term route of
-`d` makes at most (n-k)*T partial terms.  The packed route makes one
-word-wide partial (`_packed_partial`: a shift and a mask) per coefficient
-and free index, and crosses once per output (k+1)-set, at most
-min(C(n, k+1), (n-k) * coefficients) of them, with no overhead, and once
-more per coefficient that keeps no vector, to pack it.  On (n-1)-forms
-(one output) with n coefficients of t terms each that keep their
-vectors, the rule takes the packed route from the t in the first row;
-the packed route measured faster from the t in the second row when the
-coefficients keep their vectors, and from the third when they are packed
-first (best of 3 timings of >= 10 ms each, Python 3.11, shared 2-core
-x86-64 host):
-
-    n       2  3  4   5   6   7   8   9   10   11   12   13    14    15    16
-    rule    3  3  5   7  11  19  33  57  103  187  342  631  1171  2185  4097
-    kept    4  3  4   3   2   3   5  10   21   33   56  111   177   329   609
-    packed  -  -  -  18  23  33  37  47   77  120  182  418   653  1280  2476
-
-(- : the term route won even at t = 2^n.)  So where the vectors are kept
-the rule is conservative from n = 3 on.  Where they are not, it counts
-n + 1 crossings, more than n*t ever outweighs, so it keeps the term route
-and leaves the packed route's lead past the third row unused.  On 0-forms
-(n outputs) the rule never takes the packed route, which measured faster
-from about 2^n/5 terms for n >= 9.
 """
 
 from __future__ import annotations
@@ -241,18 +217,6 @@ def _packed_partial(bits: int, arity: int, bit: int) -> int:
     return (bits >> bit) & _level_masks(arity)[bit.bit_length() - 1]
 
 
-def _packed_pays(work: int, arity: int, crossings: int = 1, overhead: int = 0) -> bool:
-    """The size rule between an operation's two routes, for arity <=
-    MAX_DENSE_ARITY (above it there are no packed vectors).
-
-    The term route costs `work` term operations.  The packed route makes
-    `crossings` crossings between 2^arity-entry packed vectors and term
-    sets, and costs about crossings * (2^arity + overhead) of them, its
-    fixed costs (butterflies, packing operands) folded into `overhead`.
-    """
-    return work > crossings * ((1 << arity) + overhead)
-
-
 def mobius_transform(bits: int, arity: int) -> int:
     """Binary Mobius transform of a packed 2^arity-entry bit table.
 
@@ -424,7 +388,7 @@ class ZhegalkinPoly(_Value):
             # no tables: the fold's work and result are bounded by the
             # largest dense table
             _check_pair_budget("product", len(self.terms), len(other.terms), "term")
-        elif _packed_pays(pairs, n, overhead=_DENSE_PRODUCT_OVERHEAD):
+        elif pairs > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
             # the product is the pointwise AND of the two truth tables
             bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
             return _poly_from_packed(n, _butterfly(bits, n))

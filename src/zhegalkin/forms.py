@@ -14,7 +14,7 @@ from math import comb
 from types import MappingProxyType
 
 from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
-                  _check_same_arity, _coeffs, _make_poly, _new, _packed_pays, _packed_partial,
+                  _check_same_arity, _coeffs, _make_poly, _new, _packed_partial,
                   _poly_from_packed, _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
@@ -128,8 +128,8 @@ class KForm(_Value):
         Dense forms at n <= MAX_DENSE_ARITY take the packed route: each
         partial is one shift and one mask of the coefficient's packed
         vector, the partials XOR per output index set, and each output
-        is built from its vector and keeps it.  The size rule (see the
-        `anf` module) picks the route; both give the same form.
+        is built from its vector and keeps it.  The size rule `_dense`
+        picks the route; both give the same form.
         """
         return _d_packed(self) if _dense(self) else _d_terms(self)
 
@@ -156,18 +156,43 @@ class KForm(_Value):
 
 
 def _dense(w: KForm) -> bool:
-    """Whether the size rule sends d of w through packed vectors."""
+    """Whether d of w takes the packed route (the size rule of `KForm.d`).
+
+    On a k-form with T terms in all, the term route makes at most (n-k)*T
+    partial terms.  The packed route makes one word-wide partial
+    (`_packed_partial`: a shift and a mask) per coefficient and free
+    index, and crosses between a 2^n-entry vector and a term set once per
+    output (k+1)-set, at most min(C(n, k+1), (n-k) * coefficients) of
+    them, and once more per coefficient that keeps no vector, to pack it.
+    A crossing costs about 2^n term operations, with no overhead, so the
+    packed route is taken when (n-k)*T > (outputs + unkept) * 2^n.
+
+    On (n-1)-forms (one output) with n coefficients of t terms each that
+    keep their vectors, the rule takes the packed route from the t in the
+    first row; the packed route measured faster from the t in the second
+    row when the coefficients keep their vectors, and from the third when
+    they are packed first (best of 3 timings of >= 10 ms each, Python
+    3.11, shared 2-core x86-64 host):
+
+        n       2  3  4   5   6   7   8   9   10   11   12   13    14    15    16
+        rule    3  3  5   7  11  19  33  57  103  187  342  631  1171  2185  4097
+        kept    4  3  4   3   2   3   5  10   21   33   56  111   177   329   609
+        packed  -  -  -  18  23  33  37  47   77  120  182  418   653  1280  2476
+
+    (- : the term route won even at t = 2^n.)  So where the vectors are
+    kept the rule is conservative from n = 3 on.  Where they are not, it
+    counts n + 1 crossings, more than n*t ever outweighs, so it keeps the
+    term route and leaves the packed route's lead past the third row
+    unused.  On 0-forms (n outputs) the rule never takes the packed route,
+    which measured faster from about 2^n/5 terms for n >= 9.
+    """
     n, k = w.arity, w.degree
     if n > MAX_DENSE_ARITY:  # no packed vectors, and C(n, k+1) may be huge
         return False
     polys = w.coeffs.values()
-    # each term yields at most n - k partial terms; the packed route crosses
-    # once per output (k+1)-set, at most (n - k) per coefficient, and once
-    # per coefficient that keeps no vector, to pack it
-    work = (n - k) * _term_count(w)
     outputs = min(comb(n, k + 1), (n - k) * len(polys))
     unkept = len([poly for poly in polys if not hasattr(poly, "_packed")])
-    return _packed_pays(work, n, outputs + unkept)
+    return (n - k) * _term_count(w) > (outputs + unkept) << n
 
 
 def _term_count(w: KForm) -> int:
@@ -175,30 +200,25 @@ def _term_count(w: KForm) -> int:
 
 
 def _d_terms(w: KForm) -> KForm:
-    # Within one coefficient m -> m ^ bit is injective, so nothing cancels
-    # there.  Coefficients of different keys meet in one mutable term set
-    # per output key, by symmetric difference, and each set is frozen
-    # into a polynomial once at the end.
+    # each partial term m ^ bit toggles in the mutable term set of its
+    # output key, and each set is frozen into a polynomial once at the end
     n = w.arity
     acc = {}
     for key, poly in w.coeffs.items():
-        partials = {}
         outside = ~key
         for m in poly.terms:
             free = m & outside
             while free:
                 bit = free & -free
                 free ^= bit
-                if bit in partials:
-                    partials[bit].append(m ^ bit)
+                out, term = key | bit, m ^ bit
+                terms = acc.get(out)
+                if terms is None:
+                    acc[out] = {term}
+                elif term in terms:
+                    terms.remove(term)
                 else:
-                    partials[bit] = [m ^ bit]
-        for bit, terms in partials.items():
-            out = key | bit
-            if out in acc:
-                acc[out].symmetric_difference_update(terms)
-            else:
-                acc[out] = set(terms)
+                    terms.add(term)
     return _make_form(n, min(w.degree + 1, n), {
         out: _make_poly(n, frozenset(terms)) for out, terms in acc.items() if terms
     })

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import product
 
 from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive,
                   _poly_from_packed)
@@ -174,14 +175,10 @@ def stokes_sweep(
 def _sweep_forms(arity, slots, exhaustive, count, seed):
     # one fitting coefficient vector per slot, so forms are built unchecked
     # and each coefficient keeps its vector for d;
-    # the exhaustive sweep cuts a counter into slot-wide fields, lowest first
+    # the exhaustive sweep counts with the first slot's vector fastest
     width = 1 << arity
     if exhaustive:
-        ones = (1 << width) - 1
-        draws = (
-            [(packed >> (width * s)) & ones for s in range(len(slots))]
-            for packed in range(1 << (width * len(slots)))
-        )
+        draws = (t[::-1] for t in product(range(1 << width), repeat=len(slots)))
     else:
         rng = random.Random(seed)
         draws = ([rng.getrandbits(width) for _ in slots] for _ in range(count))

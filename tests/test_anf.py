@@ -144,6 +144,19 @@ def test_product_routes_match_schoolbook(n):
             assert product.evaluate(v) == p.evaluate(v) & q.evaluate(v)
 
 
+def test_product_route_at_its_tie():
+    # at n = 5 the rule's tie is 2^5 + 256 = 288 term pairs; the route shows
+    # in the product, which keeps a packed vector only from the tables
+    n = 5
+    rng = random.Random(288)
+    for a, b, tables in ((16, 18, False), (18, 16, False), (17, 17, True)):
+        p = ZhegalkinPoly(n, rng.sample(range(1 << n), a))
+        q = ZhegalkinPoly(n, rng.sample(range(1 << n), b))
+        product = p * q
+        assert product.terms == schoolbook_product(p, q)
+        assert hasattr(product, "_packed") is tables
+
+
 def test_product_term_pair_budget_above_the_dense_arity():
     # without tables, `*` refuses more than 2^MAX_DENSE_ARITY term pairs
     # before folding; with tables it has no budget

@@ -289,6 +289,27 @@ def test_d_packs_no_coefficient_for_the_packed_route():
     assert not _dense(KForm(n, n - 1, dict.fromkeys(vectors, ones)))
 
 
+def test_d_route_at_the_rule_tie():
+    # at the tie (n-k) * terms == (outputs + unkept) * 2^n, d takes the term
+    # route, and one term more takes the packed route; the route shows in
+    # the result, whose outputs keep a packed vector only from that route
+    rng = random.Random(16)
+    # a kept 3-form at n = 4: one output, 16 terms in all at the tie;
+    # an unkept 1-form at n = 5: min(10, 4 * 4) outputs and 4 unkept
+    # coefficients, 112 terms in all at the tie
+    for n, k, kept, tie in ((4, 3, True, [4, 4, 4, 4]), (5, 1, False, [28, 28, 28, 28])):
+        for sizes, packed in ((tie, False), ([tie[0] + 1, *tie[1:]], True)):
+            coeffs = {}
+            for key, size in zip(masks_of_size(n, k), sizes):
+                terms = rng.sample(range(1 << n), size)
+                coeffs[key] = (ZhegalkinPoly.from_coeff_bits(n, sum(1 << m for m in terms))
+                               if kept else ZhegalkinPoly(n, terms))
+            w = KForm(n, k, coeffs)
+            dw = w.d()
+            assert dw == d_by_cofactors(w)
+            assert dw.coeffs and all(hasattr(p, "_packed") is packed for p in dw.coeffs.values())
+
+
 def test_d_of_one_term_at_the_dense_arity_takes_the_term_route():
     # the coefficient keeps a 2^24-bit vector, but a single term is sparse
     n = 24

@@ -238,6 +238,20 @@ def test_sweep_forms_equal_forms_from_the_public_constructors():
         assert all(form == KForm(n, n - 1, dict(form.coeffs)) for form in forms)
 
 
+def test_exhaustive_sweep_order_is_a_counter_over_the_slots():
+    # sample i gives slot s the vector in bits width*s .. width*(s+1) - 1
+    # of i, so a counterexample index names its form
+    for n in (1, 2):
+        slots = _slot_masks(n)
+        width = 1 << n
+        forms = list(_sweep_forms(n, slots, True, None, 0))
+        assert len(forms) == 1 << (width * len(slots))
+        for index, form in enumerate(forms):
+            for s, slot in enumerate(slots):
+                want = (index >> (width * s)) & ((1 << width) - 1)
+                assert form.coefficient(slot).coeff_bits() == want
+
+
 def test_stokes_sweep_deterministic():
     a = stokes_sweep(3, count=300, seed=5)
     b = stokes_sweep(3, count=300, seed=5)
