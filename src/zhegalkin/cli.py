@@ -1,21 +1,27 @@
-"""Command-line front end.
+"""Command-line front end: each subcommand's handler returns its value,
+and `main` alone prints it and picks the exit code.
 
-Exit codes: 0 on success (and on a passing identity check), 1 when a
-check fails, 2 on usage or parse errors and when memory or the
-interpreter's recursion limit runs out, 130 on an interrupt.  A
-positional input of "-" reads from standard input.
+Exit codes: 0 on success, 1 when a check fails (a Stokes report whose
+`passed` is false, or bench's round trip), 2 on usage or parse errors and
+when memory or the interpreter's recursion limit runs out, 130 on an
+interrupt, 141 when standard output is closed.  A positional input of "-"
+reads from standard input.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
-from .anf import ZhegalkinPoly
-from .bench import BENCH_MAX_ARITY, BENCH_MIN_ARITY, run_transform_benchmark
+from .anf import TruthTable, ZhegalkinPoly
+from .bench import BENCH_MAX_ARITY, BENCH_MIN_ARITY, TransformBenchReport, run_transform_benchmark
 from .exprs import ParseError, expr_to_anf, parse_expr
+from .forms import KForm
 from .integration import (
+    StokesReport,
+    SweepSummary,
     integrate_boundary,
     integrate_face,
     integrate_top,
@@ -73,76 +79,55 @@ def _read_poly(args) -> ZhegalkinPoly:
             ) from None
 
 
-def _cmd_anf(args) -> int:
-    print(_read_poly(args))
-    return 0
+def _cmd_anf(args) -> ZhegalkinPoly:
+    return _read_poly(args)
 
 
-def _cmd_table(args) -> int:
-    print(_read_poly(args).to_truth_table())
-    return 0
+def _cmd_table(args) -> TruthTable:
+    return _read_poly(args).to_truth_table()
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args) -> ZhegalkinPoly:
     n = _require_n(args)
-    poly = parse_anf(_read_arg(args.input), n)
-    print(poly.partial(args.var))
-    return 0
+    return parse_anf(_read_arg(args.input), n).partial(args.var)
 
 
-def _cmd_d(args) -> int:
+def _cmd_d(args) -> KForm:
     n = _require_n(args)
-    form = parse_form(_read_arg(args.input), n)
-    print(form.d())
-    return 0
+    return parse_form(_read_arg(args.input), n).d()
 
 
-def _cmd_wedge(args) -> int:
+def _cmd_wedge(args) -> KForm:
     n = _require_n(args)
     if args.a == "-" and args.b == "-":
         raise ValueError("only one positional argument may read standard input")
-    a = parse_form(_read_arg(args.a), n)
-    b = parse_form(_read_arg(args.b), n)
-    print(a.wedge(b))
-    return 0
+    return parse_form(_read_arg(args.a), n).wedge(parse_form(_read_arg(args.b), n))
 
 
 def _cmd_integrate(args) -> int:
     n = _require_n(args)
     if args.top:
-        form = parse_form(_read_arg(args.input), n, degree=n)
-        print(integrate_top(form))
-    else:
-        form = parse_form(_read_arg(args.input), n, degree=n - 1)
-        if args.face is not None:
-            print(integrate_face(form, args.face))
-        else:
-            print(integrate_boundary(form))
-    return 0
+        return integrate_top(parse_form(_read_arg(args.input), n, degree=n))
+    form = parse_form(_read_arg(args.input), n, degree=n - 1)
+    if args.face is not None:
+        return integrate_face(form, args.face)
+    return integrate_boundary(form)
 
 
-def _cmd_stokes(args) -> int:
+def _cmd_stokes(args) -> StokesReport | SweepSummary:
     n = _require_n(args)
     if args.seed is not None and args.random is None:
         # argparse cannot tie --seed to one member of the mode group
         raise ValueError("--seed applies only to --random")
     if args.form is not None:
-        form = parse_form(_read_arg(args.form), n, degree=n - 1)
-        report = stokes_check(form)
-        print(report)
-        return 0 if report.passed else 1
+        return stokes_check(parse_form(_read_arg(args.form), n, degree=n - 1))
     if args.exhaustive:
-        summary = stokes_sweep(n, exhaustive=True)
-    else:
-        summary = stokes_sweep(n, count=args.random, seed=args.seed or 0)
-    print(summary)
-    return 0 if summary.failed == 0 else 1
+        return stokes_sweep(n, exhaustive=True)
+    return stokes_sweep(n, count=args.random, seed=args.seed or 0)
 
 
-def _cmd_bench(args) -> int:
-    report = run_transform_benchmark(args.n, args.reps)
-    print(report)
-    return 0
+def _cmd_bench(args) -> TransformBenchReport:
+    return run_transform_benchmark(args.n, args.reps)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,15 +196,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (ParseError, ValueError, RecursionError) as exc:
-        # RecursionError is a RuntimeError, which means a failed identity
+        result = args.handler(args)
+        print(result)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit cannot raise again, and exit as a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
+        # bench's round-trip check; RecursionError, a subclass, is caught above
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
@@ -228,6 +219,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    # only the Stokes reports have `passed`; false is a failed identity check
+    return 0 if getattr(result, "passed", True) else 1
 
 
 if __name__ == "__main__":

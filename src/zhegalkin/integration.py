@@ -116,6 +116,10 @@ class SweepSummary(namedtuple("SweepSummary", "checked failed counterexample_ind
 
     __slots__ = ()
 
+    @property
+    def passed(self) -> bool:
+        return self.failed == 0
+
     def __str__(self):
         line = f"checked={self.checked} failed={self.failed}"
         if self.counterexample is not None:

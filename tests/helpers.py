@@ -24,12 +24,13 @@ from zhegalkin import And, Const, KForm, Not, Or, ParseError, Var, Xor, Zhegalki
 def run_python(*argv, **kwargs):
     """Run the interpreter on argv with the package these tests import on
     its path, whether it is installed or only on the test run's import path.
-    Keyword arguments go to `subprocess.run`."""
+    Keyword arguments go to `subprocess.run`; stdout and stderr are captured
+    unless given."""
     src = str(Path(zhegalkin.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
     return subprocess.run(
         [sys.executable, *argv],
-        capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         **kwargs,

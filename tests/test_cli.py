@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import random
 import re
 import resource
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zhegalkin
-from zhegalkin import TruthTable, cli, parse_anf, parse_form, parse_table
+from zhegalkin import TruthTable, bench, cli, integration, parse_anf, parse_form, parse_table
 from zhegalkin.cli import main
 
 from helpers import random_poly, run_module, run_python
@@ -198,6 +199,25 @@ def test_stokes_deterministic(capsys):
     assert first == second
 
 
+def _flip_boundary_integral(monkeypatch):
+    # stokes_check reads the module's global, so every check fails
+    boundary = integration.integrate_boundary
+    monkeypatch.setattr(integration, "integrate_boundary", lambda w: 1 - boundary(w))
+
+
+def test_failed_stokes_check_exits_1(capsys, monkeypatch):
+    _flip_boundary_integral(monkeypatch)
+    code, out, err = run_cli(capsys, "stokes", "--n", "2", "(x2)*d{1}")
+    assert (code, out, err) == (1, "lhs=1 rhs=0 pass=false form=(x2)*d{1}", "")
+
+
+def test_failed_stokes_sweep_exits_1(capsys, monkeypatch):
+    _flip_boundary_integral(monkeypatch)
+    code, out, err = run_cli(capsys, "stokes", "--n", "2", "--exhaustive")
+    assert (code, err) == (1, "")
+    assert out == "checked=256 failed=256\ncounterexample index=0: lhs=0 rhs=1 pass=false form=0"
+
+
 def test_stokes_mode_validation(capsys):
     code, _, _ = run_cli(capsys, "stokes", "--n", "2")
     assert code == 2
@@ -228,6 +248,12 @@ def test_bench_range(capsys):
     assert code == 2
     code, out, _ = run_cli(capsys, "bench", "--n", "10", "--reps", "2")
     assert code == 0 and "round-trip=verified" in out and "median=" in out
+
+
+def test_bench_round_trip_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(bench, "mobius_transform", lambda bits, arity: bits >> 1)
+    code, out, err = run_cli(capsys, "bench", "--n", "10", "--reps", "1")
+    assert (code, out) == (1, "") and err.startswith("error: round-trip"), err
 
 
 @pytest.mark.parametrize(
@@ -300,6 +326,29 @@ def test_module_entry_point():
     proc = run_module("anf", "--n", "2", "x1 | x2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1 + x2 + x1*x2"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("argv", [
+    ("--n", "1", "x1"),
+    # about 40 kB of ANF, more than one buffer of a block-buffered stdout
+    (f"12:{random.Random(3).getrandbits(1 << 12):01024X}",),
+])
+def test_closed_stdout_exits_141_without_traceback(monkeypatch, unbuffered, argv):
+    # a pipe whose read end is closed makes the child's first write fail
+    # with EPIPE; the child must not report it as a failed check (exit 1),
+    # nor print a traceback or "Exception ignored" when it exits
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_module("anf", *argv, stdout=write_end, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_import_loads_no_heavy_stdlib_modules():

@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -9,6 +11,7 @@ from zhegalkin import (
     KForm,
     StokesReport,
     SweepSummary,
+    TruthTable,
     ZhegalkinPoly,
     integrate_boundary,
     integrate_face,
@@ -16,6 +19,7 @@ from zhegalkin import (
     stokes_check,
     stokes_sweep,
 )
+from zhegalkin.anf import _level_masks
 from zhegalkin.integration import _slot_masks, _sweep_forms
 
 from helpers import all_polys, face_sum, masks_of_size, random_form, random_poly
@@ -296,5 +300,49 @@ def test_sweep_summary_counterexample_line():
     )
     assert summary.counterexample_index == 3 and summary.counterexample.lhs == 1
     assert str(SweepSummary(checked=7, failed=0)) == "checked=7 failed=0"
+    assert not summary.passed and SweepSummary(checked=7, failed=0).passed
     report = StokesReport(lhs=0, rhs=0, passed=True, form=KForm.zero(2, 1))
     assert str(report) == "lhs=0 rhs=0 pass=true form=0"
+
+
+def test_values_are_safe_to_share_between_threads():
+    # the README's claim: 8 threads, more than the cores of a small host,
+    # share the same polynomials and forms with a short switch interval.
+    # Each round starts together from a cold level-mask cache, and every
+    # round of every thread must give the serial results
+    rng = random.Random(21)
+    polys = [ZhegalkinPoly.from_truth_table(TruthTable(n, rng.getrandbits(1 << n)))
+             for n in range(4, 13) for _ in range(2)] + [random_poly(rng, 9), random_poly(rng, 9)]
+    pairs = [(a, b) for a in polys for b in polys if a.arity == b.arity]
+    forms = [KForm.from_poly(p) for p in polys[:8]] + [random_form(rng, n, n - 1) for n in (3, 5, 8)]
+
+    def work():
+        return ([a * b for a, b in pairs], [a + b for a, b in pairs],
+                [hash(p) for p in polys], [p.to_truth_table() for p in polys],
+                [w.d() for w in forms], stokes_sweep(5, count=300))
+
+    serial = work()
+    rounds = 8
+    results = [[] for _ in range(8)]
+    start = threading.Barrier(len(results), action=_level_masks.cache_clear)
+
+    def run(i):
+        try:
+            for _ in range(rounds):
+                start.wait()
+                results[i].append(work())
+        finally:
+            start.abort()  # a failed thread releases the others
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial] * rounds] * len(results)

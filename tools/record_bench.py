@@ -10,8 +10,12 @@ for 3 s, once with --trace 0 (the end-to-end metrics) and once with
 traced reports' kept spans are left out; everything else is kept.  Each
 report's `environment.git_commit` names the checkout's HEAD, so the file
 also records `tree_clean`: whether `src/` and `perfbench/` matched HEAD
-(`git status --porcelain`), or null outside a git checkout.  A recording
-from a changed tree prints a warning.
+(`git status --porcelain`), or null outside a git checkout, and
+`bytecode_cache`: whether `src/zhegalkin/__pycache__` held a `.pyc` file
+after the runs.  The measured children import such a cache instead of
+compiling the package, so `setup_s` and `cli.import_ms` read lower with
+one than without.  A recording from a changed tree or with a cache prints
+a warning.
 
 The two runs of a workload use different PYTHONHASHSEED values.  Their
 `exact_counts` (work counted over a fixed window of seeded ops) are
@@ -94,9 +98,16 @@ def record(out: Path) -> None:
         for report in (untraced, traced):
             if report["failed"] or report["problems"]:
                 sys.exit(f"{workload}: a run failed its oracles; nothing recorded")
+    # read after the runs: a child run without PYTHONDONTWRITEBYTECODE
+    # writes the cache that the later children import
+    cached = any((ROOT / "src" / "zhegalkin" / "__pycache__").glob("*.pyc"))
+    if cached:
+        print("warning: src/zhegalkin/__pycache__ holds bytecode, so setup_s and "
+              "cli.import_ms are not comparable with a recording without it", file=sys.stderr)
     bench = {
         "recorded_with": f"python3 tools/record_bench.py --out {out.name}",
         "tree_clean": clean,
+        "bytecode_cache": cached,
         "seed": SEED,
         "seconds": SECONDS,
         "caveats": CAVEATS,
