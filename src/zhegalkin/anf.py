@@ -71,6 +71,11 @@ MAX_DENSE_ARITY = 24
 # packed vector skips its packing crossing, so the cost is an upper bound.
 _DENSE_PRODUCT_OVERHEAD = 256
 
+# Variable names that `str` looks up; a factor above them is formatted on
+# demand, so printing a polynomial costs its factors, not its highest index.
+_NAMED = 64
+_NAMES = tuple(f"x{i}" for i in range(1, _NAMED + 1))
+
 
 def _check_positive(value, what: str = "arity") -> int:
     """An arity, count or repetition number is an int >= 1, not a bool."""
@@ -392,7 +397,9 @@ class ZhegalkinPoly(_Value):
             # the product is the pointwise AND of the two truth tables
             bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
             return _poly_from_packed(n, _butterfly(bits, n))
-        # folded inline: feeding _xor_fold a generator ran ~1.2x slower (dense n=10)
+        # folded inline: on sparse_symbolic's own f * g operands (median 42 x 42
+        # terms) feeding _xor_fold a generator ran 1.14x slower (113.0 ms
+        # against 98.9 ms in total, 21/21 interleaved rounds)
         acc = set()
         for a in self.terms:
             for b in other.terms:
@@ -412,7 +419,6 @@ class ZhegalkinPoly(_Value):
     def __str__(self):
         if not self.terms:
             return "0"
-        names = [f"x{i}" for i in range(1, max(self.terms).bit_length() + 1)]
         parts = []
         # by degree, then by mask; each term peels its lowest set bit
         # (m & -m) per factor, so it costs its factors, not its width
@@ -420,7 +426,8 @@ class ZhegalkinPoly(_Value):
             factors = []
             while m:
                 low = m & -m
-                factors.append(names[low.bit_length() - 1])
+                i = low.bit_length()
+                factors.append(_NAMES[i - 1] if i <= _NAMED else f"x{i}")
                 m ^= low
             parts.append("*".join(factors) or "1")
         return " + ".join(parts)

@@ -512,18 +512,25 @@ def test_str_canonical_order():
     p = ZhegalkinPoly(3, [0b100, 0b011, 0])  # 1, x3, x1*x2
     assert str(p) == "1 + x3 + x1*x2"
     assert str(ZhegalkinPoly.zero(4)) == "0"
+    # x64 is the last name looked up, x65 the first formatted on demand
+    p = ZhegalkinPoly(70, [1 << 64, 1 << 63, (1 << 63) | (1 << 64) | 1, 1 << 69])
+    assert str(p) == "x64 + x65 + x70 + x1*x64*x65"
 
 
 def test_str_cost_follows_highest_variable_not_arity():
-    p = ZhegalkinPoly.variable(10**6, 1)
-    tracemalloc.start()
-    try:
-        text = str(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert text == "x1"
-    assert peak < 1 << 20
+    n = 10**6
+    for p, expected in [
+        (ZhegalkinPoly.variable(n, 1), "x1"),
+        (ZhegalkinPoly.variable(n, 1) + ZhegalkinPoly.variable(n, n), "x1 + x1000000"),
+    ]:
+        tracemalloc.start()
+        try:
+            text = str(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == expected
+        assert peak < 1 << 20
 
 
 # one sample of each value type, with its fields; each call builds a new value

@@ -1,32 +1,30 @@
-"""Record the benchmark of this checkout in BENCH_<k>.json, and gate on it.
+"""Record the benchmark of HEAD in BENCH_<k>.json, and judge one run's report.
 
     python3 tools/record_bench.py --out BENCH_<k>.json
     python3 tools/record_bench.py --check .bench_build/perfbench/NAME-seed1-traceT.json
 
-Recording runs perfbench/run.py on each workload of BENCHMARK.json at seed 1
-for 3 s, once with --trace 0 (the end-to-end metrics) and once with
---trace 1 (the per-layer metrics), and merges the reports that those runs write to
-.bench_build/perfbench/ into one JSON file at the repository root.  The
-traced reports' kept spans are left out; everything else is kept.  Each
-report's `environment.git_commit` names the checkout's HEAD, so the file
-also records `tree_clean`: whether `src/` and `perfbench/` matched HEAD
-(`git status --porcelain`), or null outside a git checkout, and
-`bytecode_cache`: whether `src/zhegalkin/__pycache__` held a `.pyc` file
-after the runs.  The measured children import such a cache instead of
-compiling the package, so `setup_s` and `cli.import_ms` read lower with
-one than without.  A recording from a changed tree or with a cache prints
-a warning.
+Recording clones HEAD into a temporary directory and runs perfbench/run.py
+there on each workload of BENCHMARK.json at seed 1 for 3 s, once with
+--trace 0 (the end-to-end metrics) and once with --trace 1 (the per-layer
+metrics), with PYTHONDONTWRITEBYTECODE=1.  So every report names in
+`environment.git_commit` the commit it measured, and every child imports
+that code from a path that has no bytecode cache and gets none.
+Uncommitted edits are not measured: commit them first.  The reports are
+merged into one JSON file at the repository root; the traced reports' kept
+spans are left out, everything else is kept.
 
 The two runs of a workload use different PYTHONHASHSEED values.  Their
 `exact_counts` (work counted over a fixed window of seeded ops) are
 recorded as the workload's gated counts when the two runs agree; a count
 on which they differ is listed under `ungated_counts` instead.
 
-Checking compares the exact counts of one run's report with the gated
-counts of the latest BENCH_<k>.json (the largest k) and exits 1 on any
-difference, so an algorithmic change in the work done shows without any
-timing noise.  A change that alters the counts on purpose records a new
-BENCH_<k>.json.
+One rule judges a report: no failed op, no problem, and exact counts equal
+to the gated counts.  Checking applies it with the counts of the latest
+BENCH_<k>.json (the largest k) and exits 1 if it fails, so a wrong result
+or an algorithmic change in the work done shows without any timing noise.
+Recording refuses to write a file whose own reports fail it, and prints
+how each report fares against the latest file; a change that alters the
+counts on purpose records a new BENCH_<k>.json.
 """
 
 from __future__ import annotations
@@ -37,10 +35,10 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REPORTS = ROOT / ".bench_build" / "perfbench"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 SEED = 1
 SECONDS = 3  # per run: the exact counts need only the prelude, the timings are a sketch
@@ -55,65 +53,23 @@ CAVEATS = [
     "16.5 MB measured with os.wait4).",
     "perfbench/README.md still says that anf.evaluate runs inside the "
     "integrals on stokes_sweep; the integrals read term-count parities.",
+    "perfbench/README.md says that the untimed first set-up child writes the "
+    "bytecode cache; under PYTHONDONTWRITEBYTECODE, as recorded here, it "
+    "writes none, and every set-up child compiles the package.",
 ]
 
 
-def run_workload(workload: str, trace: int) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED=str(trace))
+def run_workload(clone: Path, workload: str, trace: int) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=str(trace), PYTHONDONTWRITEBYTECODE="1")
     subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+        [sys.executable, str(clone / "perfbench" / "run.py"), "--workload", workload,
          "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)],
         check=True, stdout=subprocess.DEVNULL, env=env,
     )
-    report = json.loads((REPORTS / f"{workload}-seed{SEED}-trace{trace}.json").read_text())
+    reports = clone / ".bench_build" / "perfbench"
+    report = json.loads((reports / f"{workload}-seed{SEED}-trace{trace}.json").read_text())
     report.pop("spans", None)
     return report
-
-
-def tree_clean():
-    """Whether src/ and perfbench/ match HEAD; None outside a git checkout."""
-    status = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
-                            cwd=ROOT, capture_output=True, text=True)
-    return None if status.returncode else not status.stdout.strip()
-
-
-def record(out: Path) -> None:
-    clean = tree_clean()
-    if not clean:
-        state = "are not in a git checkout" if clean is None else "differ from HEAD"
-        print(f"warning: src/ or perfbench/ {state}, so git_commit in the reports "
-              "does not name the measured code", file=sys.stderr)
-    workloads = {}
-    for workload in WORKLOADS:
-        untraced, traced = (run_workload(workload, trace) for trace in (0, 1))
-        counts = untraced["exact_counts"]
-        ungated = sorted(name for name in counts if counts[name] != traced["exact_counts"][name])
-        workloads[workload] = {
-            "exact_counts": {name: n for name, n in counts.items() if name not in ungated},
-            "ungated_counts": ungated,
-            "trace0": untraced,
-            "trace1": traced,
-        }
-        print(f"{workload}: ungated counts: {', '.join(ungated) or 'none'}")
-        for report in (untraced, traced):
-            if report["failed"] or report["problems"]:
-                sys.exit(f"{workload}: a run failed its oracles; nothing recorded")
-    # read after the runs: a child run without PYTHONDONTWRITEBYTECODE
-    # writes the cache that the later children import
-    cached = any((ROOT / "src" / "zhegalkin" / "__pycache__").glob("*.pyc"))
-    if cached:
-        print("warning: src/zhegalkin/__pycache__ holds bytecode, so setup_s and "
-              "cli.import_ms are not comparable with a recording without it", file=sys.stderr)
-    bench = {
-        "recorded_with": f"python3 tools/record_bench.py --out {out.name}",
-        "tree_clean": clean,
-        "bytecode_cache": cached,
-        "seed": SEED,
-        "seconds": SECONDS,
-        "caveats": CAVEATS,
-        "workloads": workloads,
-    }
-    out.write_text(json.dumps(bench, indent=1) + "\n")
 
 
 def latest_bench() -> Path:
@@ -124,27 +80,68 @@ def latest_bench() -> Path:
     return max(found)[1]
 
 
+def judge(report: dict, counts: dict, source: str) -> bool:
+    """Print why one run's report fails against `counts` from `source`
+    (failed ops, problems, another seed, a count that differs); True if it passes."""
+    env, got = report["environment"], report["exact_counts"]
+    found = [f"{report['failed']} failed ops"] if report["failed"] else []
+    found += [f"problem: {problem}" for problem in report["problems"]]
+    if env["seed"] != SEED:
+        found.append(f"seed {env['seed']}; counts are recorded for seed {SEED}")
+    found += [f"{name}: {got.get(name)} != {n}" for name, n in counts.items() if got.get(name) != n]
+    print(f"{env['workload']} trace {env['trace']} against {source}: "
+          f"{'; '.join(found) or f'no failed op, no problem, {len(counts)} exact counts match'}")
+    return not found
+
+
+def record(out: Path) -> None:
+    head = subprocess.run(["git", "rev-parse", "--show-toplevel", "--verify", "HEAD"],
+                          cwd=ROOT, capture_output=True, text=True)
+    if head.returncode or Path(head.stdout.splitlines()[0]) != ROOT:
+        sys.exit(f"--out measures the HEAD commit, and {ROOT} is not a git checkout with one")
+    commit = head.stdout.splitlines()[1]
+    latest = latest_bench()
+    previous = json.loads(latest.read_text())["workloads"]
+    print(f"measuring commit {commit}; uncommitted edits are not measured")
+    workloads = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(ROOT), tmp], check=True)
+        subprocess.run(["git", "checkout", "--quiet", "--detach", commit], cwd=tmp, check=True)
+        for workload in WORKLOADS:
+            untraced, traced = (run_workload(Path(tmp), workload, trace) for trace in (0, 1))
+            counts = untraced["exact_counts"]
+            ungated = sorted(name for name in counts if counts[name] != traced["exact_counts"][name])
+            gated = {name: n for name, n in counts.items() if name not in ungated}
+            workloads[workload] = {
+                "exact_counts": gated, "ungated_counts": ungated, "trace0": untraced, "trace1": traced,
+            }
+            print(f"{workload}: ungated counts: {', '.join(ungated) or 'none'}")
+            for report in (untraced, traced):
+                if not judge(report, gated, out.name):
+                    sys.exit(f"{workload}: a run failed; nothing recorded")
+                judge(report, previous.get(workload, {}).get("exact_counts", {}), latest.name)
+    bench = {
+        "recorded_with": f"python3 tools/record_bench.py --out {out.name}",
+        "seed": SEED,
+        "seconds": SECONDS,
+        "caveats": CAVEATS,
+        "workloads": workloads,
+    }
+    out.write_text(json.dumps(bench, indent=1) + "\n")
+
+
 def check(report_path: Path) -> int:
     report = json.loads(report_path.read_text())
-    workload = report["environment"]["workload"]
-    if report["environment"]["seed"] != SEED:
-        sys.exit(f"{report_path.name}: recorded counts are for seed {SEED}")
     bench = latest_bench()
-    want = json.loads(bench.read_text())["workloads"][workload]["exact_counts"]
-    got = report["exact_counts"]
-    diffs = [f"{name}: {got.get(name)} != {n} recorded" for name, n in want.items() if got.get(name) != n]
-    for line in diffs:
-        print(f"{workload}: {line} in {bench.name}")
-    if not diffs:
-        print(f"{workload}: exact counts match {bench.name} ({len(want)} counts)")
-    return 1 if diffs else 0
+    want = json.loads(bench.read_text())["workloads"][report["environment"]["workload"]]["exact_counts"]
+    return 0 if judge(report, want, bench.name) else 1
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--out", type=Path, help="record into this file at the repository root")
-    mode.add_argument("--check", type=Path, metavar="REPORT", help="check one run's report")
+    mode.add_argument("--out", type=Path, help="record HEAD into this file at the repository root")
+    mode.add_argument("--check", type=Path, metavar="REPORT", help="judge one run's report")
     args = parser.parse_args(argv)
     if args.check:
         return check(args.check)
