@@ -7,9 +7,16 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "record_bench.py"
-_spec = importlib.util.spec_from_file_location("record_bench", TOOL)
-record_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(record_bench)
+
+
+def load_tool(path):
+    spec = importlib.util.spec_from_file_location("record_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+record_bench = load_tool(TOOL)
 
 WORKLOAD = "stokes_sweep"
 
@@ -66,11 +73,8 @@ def test_record_outside_a_git_checkout_exits_with_one_line(tmp_path):
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "record_bench.py").write_text(TOOL.read_text())
     (tmp_path / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
-    spec = importlib.util.spec_from_file_location("record_bench_copy", tmp_path / "tools" / "record_bench.py")
-    copy = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(copy)
     with pytest.raises(SystemExit) as exit_:
-        copy.main(["--out", "BENCH_1.json"])
+        load_tool(tmp_path / "tools" / "record_bench.py").main(["--out", "BENCH_1.json"])
     message = str(exit_.value.code)
     assert "not a git checkout" in message and "\n" not in message
     assert not (tmp_path / "BENCH_1.json").exists()

@@ -18,13 +18,13 @@ The two runs of a workload use different PYTHONHASHSEED values.  Their
 recorded as the workload's gated counts when the two runs agree; a count
 on which they differ is listed under `ungated_counts` instead.
 
-One rule judges a report: no failed op, no problem, and exact counts equal
-to the gated counts.  Checking applies it with the counts of the latest
-BENCH_<k>.json (the largest k) and exits 1 if it fails, so a wrong result
-or an algorithmic change in the work done shows without any timing noise.
-Recording refuses to write a file whose own reports fail it, and prints
-how each report fares against the latest file; a change that alters the
-counts on purpose records a new BENCH_<k>.json.
+One rule judges a report: no failed op, no problem, seed 1, and exact
+counts equal to the gated counts.  Checking applies it with the counts of
+the latest BENCH_<k>.json (the largest k) and exits 1 if it fails, so a
+wrong result or an algorithmic change in the work done shows without any
+timing noise.  Recording refuses to write a file whose own reports fail
+it, and prints how each report fares against the latest file; a change
+that alters the counts on purpose records a new BENCH_<k>.json.
 """
 
 from __future__ import annotations
