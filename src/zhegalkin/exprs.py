@@ -21,11 +21,16 @@ The parser reads the lexer's tokens in place and checks each one as it
 reads it.  Lexical errors (bad numbers, names, characters) come first,
 the leftmost anywhere: when parsing fails, all tokens are checked again
 before the syntax error is raised, so one after the failure still wins.
+
+Cost model: lexing is one regex scan that yields token texts only, and a
+token's source position is found, by scanning the source again, only when
+an error is raised.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .anf import ZhegalkinPoly, _check_positive, _Value
 
@@ -118,120 +123,135 @@ _set_child = Not.child.__set__
 _set_operands = _Chain.operands.__set__
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
-_OPERATORS = frozenset("&|^!()") | {"end"}
+_OPERATORS = frozenset("&|^!()") | {""}  # "" is the end of input
 # the binary operators by text, loosest first; words map onto them
 _LEVELS = (("|", Or), ("^", Xor), ("&", And))
 
 # The one lexer for every text format: monomials x<i>*x<j>*..., ASCII
 # words, ASCII numbers, and any other non-space character on its own.
-# finditer skips the whitespace between tokens; a token is never split by
-# it.  A whole monomial is one "var" token, so ANF text costs one token per
-# term; whitespace around its "*" stays insignificant.
-_TOKEN_RE = re.compile(
-    r"(?P<var>x[0-9]+(?:\s*\*\s*x[0-9]+)*)|(?P<name>[A-Za-z]+)|(?P<num>[0-9]+)|\S"
-)
+# One findall returns the token texts, skipping the whitespace between
+# tokens; a token is never split by it.  A whole monomial is one token, so
+# ANF text costs one token per term; whitespace around its "*" stays
+# insignificant.
+_TOKEN_RE = re.compile(r"x[0-9]+(?:\s*\*\s*x[0-9]+)*|[A-Za-z]+|[0-9]+|\S")
 
 
-def _lex(source: str) -> list[tuple[str, str, int]]:
-    """(kind, text, pos) tokens ending in ("end", "", len(source)).
-
-    The kind is var (one monomial: x<i> factors joined by "*"), name or
-    num, or the punctuation character itself.
-    """
+def _lex(source: str) -> list[str]:
+    """The token texts of source, ending in "" for the end of input."""
     if not isinstance(source, str):
         raise ParseError("input must be text", 0)
-    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN_RE.finditer(source)]
-    tokens.append(("end", "", len(source)))
+    tokens = _TOKEN_RE.findall(source)
+    tokens.append("")
     return tokens
 
 
-def _number(digits: str, pos: int) -> int:
-    """The value of a run of ASCII digits, as a ParseError if it is too long."""
+def _kind(text: str) -> str:
+    """A token's kind: var (one monomial: x<i> factors joined by "*"),
+    name, num, or else the text itself (punctuation, "" at the end)."""
+    if not text.isascii() or not text[:1].isalnum():
+        return text
+    if text[0].isdigit():
+        return "num"
+    return "var" if text[0] == "x" and text[1:2].isdigit() else "name"
+
+
+def _at(source: str, i: int, offset: int = 0) -> int:
+    """Source position of token i, `offset` characters into it.  The lexer
+    keeps no positions, as only an error needs one: this scans the source
+    again up to the token."""
+    match = next(islice(_TOKEN_RE.finditer(source), i, None), None)
+    return (len(source) if match is None else match.start()) + offset
+
+
+def _number(digits: str, source: str, i: int, offset: int = 0) -> int:
+    """The value of a run of ASCII digits in token i, as a ParseError if it
+    is too long."""
     try:
         return int(digits)
     except ValueError:  # beyond the interpreter's int/str digit limit
-        raise ParseError(f"number too long ({len(digits)} digits)", pos) from None
+        message = f"number too long ({len(digits)} digits)"
+        raise ParseError(message, _at(source, i, offset)) from None
 
 
-def _check_token(kind: str, text: str, pos: int) -> int:
-    """The value of a var or num token (else 0); raises its lexical error."""
+def _atom(source: str, text: str, i: int) -> Expr | None:
+    """The Var or Const that token i, `text`, reads as, else None; raises
+    its lexical error."""
+    kind = _kind(text)
     if kind == "var":
         head = text.split("*", 1)[0].rstrip()
-        value = _number(head[1:], pos)
-        if value < 1:
-            raise ParseError("variable index must be at least 1", pos)
+        index = _number(head[1:], source, i)
+        if index < 1:
+            raise ParseError("variable index must be at least 1", _at(source, i))
         if head != text:  # a monomial; expressions spell AND as "&"
-            raise ParseError("unexpected character '*'", pos + text.index("*"))
-        return value
+            raise ParseError("unexpected character '*'", _at(source, i, text.index("*")))
+        return Var(index)
     if kind == "num":
         if text not in ("0", "1"):
-            raise ParseError(f"constants are 0 and 1, got {text!r}", pos)
-        return _number(text, pos)
+            raise ParseError(f"constants are 0 and 1, got {text!r}", _at(source, i))
+        return Const(int(text))
     if kind == "name":
         if text == "x":
-            raise ParseError("expected digits after 'x'", pos + 1)
+            raise ParseError("expected digits after 'x'", _at(source, i, 1))
         if text not in _WORD_OPS:
-            raise ParseError(f"unknown name {text!r}", pos)
+            raise ParseError(f"unknown name {text!r}", _at(source, i))
     elif kind not in _OPERATORS:
-        raise ParseError(f"unexpected character {kind!r}", pos)
-    return 0
+        raise ParseError(f"unexpected character {kind!r}", _at(source, i))
+    return None
 
 
-def _expect(tokens, i: int, kind: str) -> int:
-    if tokens[i][0] != kind:
-        raise ParseError(f"expected {kind!r}", tokens[i][2])
+def _expect(source: str, tokens, i: int, text: str) -> int:
+    if tokens[i] != text:
+        raise ParseError(f"expected {text!r}", _at(source, i))
     return i + 1
 
 
-def _read_binary(tokens, i: int, level: int, depth: int) -> tuple[Expr, int]:
+def _read_binary(source: str, tokens, i: int, level: int, depth: int) -> tuple[Expr, int]:
     """The chain of _LEVELS[level] operators over the next level's chains
     at tokens[i] (a lone operand as itself), and the index after it."""
     if level == len(_LEVELS):
-        return _read_unary(tokens, i, depth)
+        return _read_unary(source, tokens, i, depth)
     op, node = _LEVELS[level]
-    first, i = _read_binary(tokens, i, level + 1, depth)
-    if _WORD_OPS.get(tokens[i][1], tokens[i][1]) != op:
+    first, i = _read_binary(source, tokens, i, level + 1, depth)
+    if _WORD_OPS.get(tokens[i], tokens[i]) != op:
         return first, i
     operands = [first]
-    while _WORD_OPS.get(tokens[i][1], tokens[i][1]) == op:
-        operand, i = _read_binary(tokens, i + 1, level + 1, depth)
+    while _WORD_OPS.get(tokens[i], tokens[i]) == op:
+        operand, i = _read_binary(source, tokens, i + 1, level + 1, depth)
         operands.append(operand)
     return node(operands), i
 
 
-def _read_unary(tokens, i: int, depth: int) -> tuple[Expr, int]:
-    kind, text, pos = tokens[i]
+def _read_unary(source: str, tokens, i: int, depth: int) -> tuple[Expr, int]:
+    text = tokens[i]
     op = _WORD_OPS.get(text, text)
     if op == "!" or op == "(":
         depth += 1 if op == "!" else len(_LEVELS)
         if depth > _MAX_DEPTH:
-            raise ParseError("expression nested too deeply", pos)
+            raise ParseError("expression nested too deeply", _at(source, i))
         if op == "!":
-            child, i = _read_unary(tokens, i + 1, depth)
+            child, i = _read_unary(source, tokens, i + 1, depth)
             return Not(child), i
-        inner, i = _read_binary(tokens, i + 1, 0, depth)
-        return inner, _expect(tokens, i, ")")
-    value = _check_token(kind, text, pos)
-    if kind == "var":
-        return Var(value), i + 1
-    if kind == "num":
-        return Const(value), i + 1
-    message = "unexpected end of input" if kind == "end" else f"unexpected token {op!r}"
-    raise ParseError(message, pos)
+        inner, i = _read_binary(source, tokens, i + 1, 0, depth)
+        return inner, _expect(source, tokens, i, ")")
+    atom = _atom(source, text, i)
+    if atom is not None:
+        return atom, i + 1
+    message = f"unexpected token {op!r}" if text else "unexpected end of input"
+    raise ParseError(message, _at(source, i))
 
 
 def parse_expr(source: str) -> Expr:
     """Parse an expression; raises ParseError with a position on bad input."""
     tokens = _lex(source)
     try:
-        expr, i = _read_binary(tokens, 0, 0, 0)
-        if tokens[i][0] != "end":
-            raise ParseError("unexpected trailing input", tokens[i][2])
+        expr, i = _read_binary(source, tokens, 0, 0, 0)
+        if tokens[i]:
+            raise ParseError("unexpected trailing input", _at(source, i))
         return expr
     except (ParseError, RecursionError):
         # the tokens read so far passed; a lexical error after them wins
-        for token in tokens:
-            _check_token(*token)
+        for i, text in enumerate(tokens):
+            _atom(source, text, i)
         raise
 
 

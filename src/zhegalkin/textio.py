@@ -11,16 +11,19 @@ Formatting is `str()` on the value.  Parsing reads the tokens of the lexer
 in `exprs`, so whitespace between tokens is insignificant and numbers are
 ASCII digits; otherwise it sticks to the canonical shapes (indices must
 ascend, repeated terms or index sets are rejected rather than folded).
-A monomial such as "x1 * x3" is one token, whose factors are read from
-its digit runs in one loop, so ANF text costs one token per term.
+A monomial such as "x1 * x3" is one token, so ANF text costs one token
+per term.  Its factors x1..x64, written canonically, are read by a table
+lookup; any other factor (x01, x65, a space before "*") goes through int().
+As for expressions, lexing is one regex scan, and a token's position is
+found only when an error is raised.
 """
 
 from __future__ import annotations
 
 import re
 
-from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _check_positive, _make_poly
-from .exprs import ParseError, _expect, _lex, _number
+from .anf import MAX_DENSE_ARITY, TruthTable, ZhegalkinPoly, _NAMES, _check_positive, _make_poly
+from .exprs import ParseError, _at, _expect, _kind, _lex, _number
 from .forms import KForm, _check_degree
 from .secant import SecantElement
 
@@ -31,42 +34,33 @@ __all__ = [
     "parse_table",
 ]
 
-# the factor indices inside one monomial token
-_DIGITS = re.compile("[0-9]+")
+# The bit of each factor x1..x64 as the canonical text writes it; other
+# factors (x01, "x1 " before a "*", x65, ...) are read with int()
+_BITS = {name: 1 << k for k, name in enumerate(_NAMES)}
 
 # "n:HEX"; the CLI takes any text this matches a prefix of for a table
 _TABLE_TEXT = re.compile(r"\s*([0-9]+)\s*:\s*([0-9a-fA-F]*)\s*")
 
 
-def _tokens(source: str) -> list[tuple[str, str, int]]:
+def _tokens(source: str) -> list[str]:
     tokens = _lex(source)
     if len(tokens) == 1:
-        raise ParseError("empty input", tokens[0][2])
+        raise ParseError("empty input", len(source))
     return tokens
 
 
-def _factor_at(text: str, pos: int, k: int) -> int:
-    """Source position of factor k of the monomial token `text` at `pos`."""
-    at = -1
-    for _ in range(k + 1):
-        at = text.index("x", at + 1)
-    return pos + at
-
-
-def _read_term(tokens, i: int, arity: int) -> tuple[int, int]:
-    """Monomial mask of the term at tokens[i], and the index after it."""
-    kind, text, pos = tokens[i]
-    if text == "1":
-        return 0, i + 1
-    if kind != "var":
-        raise ParseError("expected 'x'", pos)
+def _read_factors(source: str, text: str, i: int, arity: int) -> int:
+    """Monomial mask of token i, `text`, each factor read with int();
+    raises the error of its first bad factor."""
+    if _kind(text) != "var":
+        raise ParseError("expected 'x'", _at(source, i))
     mask = 0
     last = 0
-    for k, digits in enumerate(_DIGITS.findall(text)):
-        try:
-            index = int(digits)
-        except ValueError:  # beyond the interpreter's int/str digit limit
-            index = _number(digits, _factor_at(text, pos, k))
+    start = 0  # where the next factor's part of text begins
+    for factor in text.split("*"):
+        at = start + factor.index("x")  # the factor's offset in text
+        start += len(factor) + 1
+        index = _number(factor.strip()[1:], source, i, at)
         if last < index <= arity:
             mask |= 1 << (index - 1)
             last = index
@@ -77,67 +71,77 @@ def _read_term(tokens, i: int, arity: int) -> tuple[int, int]:
             message = f"variable x{index} exceeds arity {arity}"
         else:
             message = "variable indices must ascend within a term"
-        raise ParseError(message, _factor_at(text, pos, k))
-    # the lexer folds every "*x<j>" into the token, so a "*" after it has
-    # no factor behind it
-    if tokens[i + 1][0] == "*":
-        raise ParseError("expected 'x'", tokens[i + 2][2])
-    return mask, i + 1
+        raise ParseError(message, _at(source, i, at))
+    return mask
 
 
-def _read_anf(tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int]:
+def _read_anf(source: str, tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int]:
     """Polynomial at tokens[i] up to a `stop` or end token, and its index."""
-    if tokens[i][1] == "0":
-        kind, _, pos = tokens[i + 1]
-        if kind != stop and kind != "end":
-            raise ParseError('"0" must stand alone', pos)
+    if tokens[i] == "0":
+        after = tokens[i + 1]
+        if after != stop and after:
+            raise ParseError('"0" must stand alone', _at(source, i + 1))
         return ZhegalkinPoly.zero(arity), i + 1
     terms = set()
+    bit_of = _BITS.get
     while True:
-        at = tokens[i][2]
-        mask, i = _read_term(tokens, i, arity)
+        # one monomial token per term, then "+", `stop` or the end
+        text = tokens[i]
+        mask = 0
+        if text != "1":
+            # each bit must be a named factor's, above the factors before
+            # it and within the arity
+            for bit in map(bit_of, text.split("*")):
+                if bit is None or bit <= mask or bit >> arity:
+                    mask = _read_factors(source, text, i, arity)
+                    break
+                mask |= bit
+            # the lexer folds every "*x<j>" into the token, so a "*" after
+            # it has no factor behind it
+            if tokens[i + 1] == "*":
+                raise ParseError("expected 'x'", _at(source, i + 2))
         if mask in terms:
-            raise ParseError("duplicate term", at)
+            raise ParseError("duplicate term", _at(source, i))
         terms.add(mask)
-        kind = tokens[i][0]
-        if kind == stop or kind == "end":
+        text = tokens[i + 1]
+        if text == stop or not text:
             # every mask was range-checked and none repeats: already canonical
-            return _make_poly(arity, frozenset(terms)), i
-        i = _expect(tokens, i, "+")
+            return _make_poly(arity, frozenset(terms)), i + 1
+        i = _expect(source, tokens, i + 1, "+")
 
 
 def parse_anf(source: str, arity: int) -> ZhegalkinPoly:
     """Parse canonical ANF text into a polynomial of the given arity."""
     _check_positive(arity)
-    return _read_anf(_tokens(source), 0, arity, "end")[0]
+    return _read_anf(source, _tokens(source), 0, arity, "")[0]
 
 
-def _read_index_set(tokens, i: int, arity: int, brace: bool) -> tuple[int, int]:
+def _read_index_set(source: str, tokens, i: int, arity: int, brace: bool) -> tuple[int, int]:
     # "{i,j,...}" after d, or one bare index after D
     if brace:
-        i = _expect(tokens, i, "{")
+        i = _expect(source, tokens, i, "{")
     mask = 0
     last = 0
     while True:
-        kind, text, pos = tokens[i]
-        if kind != "num":
-            raise ParseError("expected a number", pos)
-        index = _number(text, pos)
+        text = tokens[i]
+        if _kind(text) != "num":
+            raise ParseError("expected a number", _at(source, i))
+        index = _number(text, source, i)
         if index < 1 or index > arity:
-            raise ParseError(f"index {index} out of range 1..{arity}", pos)
+            raise ParseError(f"index {index} out of range 1..{arity}", _at(source, i))
         if index <= last:
-            raise ParseError("indices must ascend", pos)
+            raise ParseError("indices must ascend", _at(source, i))
         mask |= 1 << (index - 1)
         last = index
         i += 1
         if not brace:
             return mask, i
-        if tokens[i][0] != ",":
-            return mask, _expect(tokens, i, "}")
+        if tokens[i] != ",":
+            return mask, _expect(source, tokens, i, "}")
         i += 1
 
 
-def _read_slots(tokens, arity: int, op: str) -> dict[int, ZhegalkinPoly]:
+def _read_slots(source: str, tokens, arity: int, op: str) -> dict[int, ZhegalkinPoly]:
     """Terms "(ANF)*<op><indices>" joined by "+", as index mask -> coefficient.
 
     Every term's index set must have the same size.
@@ -146,23 +150,22 @@ def _read_slots(tokens, arity: int, op: str) -> dict[int, ZhegalkinPoly]:
     size = None
     i = 0
     while True:
-        i = _expect(tokens, i, "(")
-        poly, i = _read_anf(tokens, i, arity, ")")
-        i = _expect(tokens, i, ")")
-        i = _expect(tokens, i, "*")
-        kind, text, at = tokens[i]
-        if kind != "name" or text != op:
-            raise ParseError(f"expected {op!r}", at)
-        mask, i = _read_index_set(tokens, i + 1, arity, brace=op == "d")
+        i = _expect(source, tokens, i, "(")
+        poly, i = _read_anf(source, tokens, i, arity, ")")
+        i = _expect(source, tokens, i, ")")
+        at = _expect(source, tokens, i, "*")
+        if tokens[at] != op:
+            raise ParseError(f"expected {op!r}", _at(source, at))
+        mask, i = _read_index_set(source, tokens, at + 1, arity, brace=op == "d")
         if mask in coeffs:
-            raise ParseError("duplicate index set", at)
+            raise ParseError("duplicate index set", _at(source, at))
         if size is not None and mask.bit_count() != size:
-            raise ParseError("mixed degrees in form", at)
+            raise ParseError("mixed degrees in form", _at(source, at))
         size = mask.bit_count()
         coeffs[mask] = poly
-        if tokens[i][0] == "end":
+        if not tokens[i]:
             return coeffs
-        i = _expect(tokens, i, "+")
+        i = _expect(source, tokens, i, "+")
 
 
 def parse_form(source: str, arity: int, degree: int | None = None) -> KForm:
@@ -176,10 +179,10 @@ def parse_form(source: str, arity: int, degree: int | None = None) -> KForm:
     if degree is not None:
         _check_degree(degree, arity)
     tokens = _tokens(source)
-    if tokens[0][0] != "(":
-        form = KForm.from_poly(_read_anf(tokens, 0, arity, "end")[0])
+    if tokens[0] != "(":
+        form = KForm.from_poly(_read_anf(source, tokens, 0, arity, "")[0])
     else:
-        coeffs = _read_slots(tokens, arity, "d")
+        coeffs = _read_slots(source, tokens, arity, "d")
         form = KForm(arity, next(iter(coeffs)).bit_count(), coeffs)
     if degree is not None and form.degree != degree:
         if form.is_zero:
@@ -193,9 +196,9 @@ def parse_secant(source: str, arity: int) -> SecantElement:
     _check_positive(arity)
     tokens = _tokens(source)
     coeffs = [ZhegalkinPoly.zero(arity)] * arity
-    if len(tokens) == 2 and tokens[0][1] == "0":
+    if len(tokens) == 2 and tokens[0] == "0":
         return SecantElement(arity, coeffs)
-    for mask, poly in _read_slots(tokens, arity, "D").items():
+    for mask, poly in _read_slots(source, tokens, arity, "D").items():
         coeffs[mask.bit_length() - 1] = poly
     return SecantElement(arity, coeffs)
 
@@ -210,7 +213,7 @@ def parse_table(source: str) -> TruthTable:
     if m.end() != len(source):
         raise ParseError("unexpected trailing input", m.end())
     at = m.start(1)
-    arity = _number(m[1], at)
+    arity = _number(m[1], source, 0)  # the lexer's first token is these digits
     if arity < 1:
         raise ParseError("arity must be at least 1", at)
     if arity > MAX_DENSE_ARITY:

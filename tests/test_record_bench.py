@@ -78,3 +78,35 @@ def test_record_outside_a_git_checkout_exits_with_one_line(tmp_path):
     message = str(exit_.value.code)
     assert "not a git checkout" in message and "\n" not in message
     assert not (tmp_path / "BENCH_1.json").exists()
+
+
+def write_bench(root, k, commit, ops_per_s, counts):
+    """A BENCH_<k>.json holding one stokes_sweep run with these values."""
+    metrics = {name: {"value": 1.0, "unit": unit} for name, unit in record_bench.END_TO_END}
+    metrics["ops_per_s"]["value"] = ops_per_s
+    bench = {"workloads": {WORKLOAD: {
+        "exact_counts": counts,
+        "trace0": {"environment": {"git_commit": commit}, "metrics": metrics},
+    }}}
+    (root / f"BENCH_{k}.json").write_text(json.dumps(bench))
+
+
+def test_trajectory_prints_one_row_per_file_in_order_of_k(tmp_path):
+    write_bench(tmp_path, 22, "b" * 40, 250.0, {"anf.terms_out": 7})
+    write_bench(tmp_path, 9, "a" * 40, 125.5, {"anf.terms_out": 7})
+    write_bench(tmp_path, 23, None, 300.0, {"anf.terms_out": 8})
+    table = record_bench.trajectory(tmp_path)
+    assert "unpaired" in table and "only the exact counts are gated" in table
+    header, rule, *rows = [line for line in table.splitlines() if line.startswith("|")]
+    columns = [cell.strip() for cell in header.strip("|").split("|")]
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    assert len(rule.split("---")) - 1 == len(columns)
+    assert [row[:4] for row in cells] == [
+        ["BENCH_9.json", "aaaaaaa", "checkout as it stood", "first"],
+        ["BENCH_22.json", "bbbbbbb", "clean clone, uncached", "as previous"],
+        ["BENCH_23.json", "unknown", "clean clone, uncached", "changed"],
+    ]
+    ops = columns.index(f"{WORKLOAD} ops_per_s (1/s)")
+    assert [row[ops] for row in cells] == ["125.5", "250", "300"]
+    # a workload the files do not hold has empty cells
+    assert all(row[columns.index("dense_tables ops_per_s (1/s)")] == "" for row in cells)

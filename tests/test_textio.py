@@ -257,3 +257,49 @@ def test_parsers_reject_non_text():
         parse_form(12, 2)
     with pytest.raises(ParseError):
         parse_table(b"2:8")
+
+
+@pytest.mark.parametrize(
+    "parse, src, want",
+    [
+        (lambda s: parse_anf(s, 2), "x01", "x1"),
+        (lambda s: parse_anf(s, 3), "x1 * x3", "x1*x3"),
+        (lambda s: parse_anf(s, 70), "x65*x70", "x65*x70"),
+        (lambda s: parse_form(s, 2), "(x1)*d{01}", "(x1)*d{1}"),
+        (lambda s: parse_anf(s, 3), "x1*x3*x2",
+         ("variable indices must ascend within a term", 6)),
+        (lambda s: parse_anf(s, 70), "x1*x70*x65",
+         ("variable indices must ascend within a term", 7)),
+        (lambda s: parse_anf(s, 3), "x0", ("variable index must be at least 1", 0)),
+        (lambda s: parse_anf(s, 3), "x1*x" + "9" * 5000, ("number too long (5000 digits)", 3)),
+        (lambda s: parse_anf(s, 3), "x1+x1*x2 + x1", ("duplicate term", 11)),
+    ],
+)
+def test_inputs_off_the_fast_factor_read(parse, src, want):
+    # factors that the x1..x64 table does not read (leading zeros, a space
+    # before "*", indices above 64, over-long digit runs) and the errors it
+    # hands to the int() route
+    if isinstance(want, str):
+        assert str(parse(src)) == want
+        return
+    message, where = want
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert str(info.value) == f"{message} (at position {where})"
+    assert info.value.position == where
+
+
+def test_error_near_the_end_of_a_long_text():
+    # positions are found by scanning the source only when an error is raised
+    pairs = [f"x{i}*x{j}" for i in range(1, 151) for j in range(i + 1, 151)]
+    text = " + ".join(pairs[:10_000])
+    assert len(parse_anf(text, 150).terms) == 10_000
+    with pytest.raises(ParseError) as info:
+        parse_anf(text + " + x2*x1", 150)
+    assert str(info.value) == (
+        f"variable indices must ascend within a term (at position {len(text) + 6})"
+    )
+    with pytest.raises(ParseError) as info:
+        parse_anf(text + " + " + pairs[9_998], 150)
+    assert info.value.position == len(text) + 3
+    assert str(info.value).startswith("duplicate term")

@@ -2,6 +2,7 @@
 
     python3 tools/record_bench.py --out BENCH_<k>.json
     python3 tools/record_bench.py --check .bench_build/perfbench/NAME-seed1-traceT.json
+    python3 tools/record_bench.py --trajectory
 
 Recording clones HEAD into a temporary directory and runs perfbench/run.py
 there on each workload of BENCHMARK.json at seed 1 for 3 s, once with
@@ -25,6 +26,13 @@ wrong result or an algorithmic change in the work done shows without any
 timing noise.  Recording refuses to write a file whose own reports fail
 it, and prints how each report fares against the latest file; a change
 that alters the counts on purpose records a new BENCH_<k>.json.
+
+The trajectory prints one markdown row per BENCH_<k>.json, in order of k:
+the commit, what was measured (a clean clone without a bytecode cache
+from BENCH_22 on, the checkout as it stood before), whether the gated
+counts equal the previous file's, and each workload's end-to-end metrics
+from its untraced run.  Those timings are single unpaired 3 s runs on a
+shared host: they show a direction at best and carry no claim.
 """
 
 from __future__ import annotations
@@ -39,9 +47,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = [(m["name"], m["unit"]) for m in BENCHMARK["end_to_end"]]
 SEED = 1
 SECONDS = 3  # per run: the exact counts need only the prelude, the timings are a sketch
+# the first BENCH_<k>.json recorded in a clean clone without a bytecode cache
+FIRST_CLONED = 22
 
 # Known defects of perfbench/, recorded so that the numbers are read with
 # them in mind; each is left for a change to perfbench/ of its own.
@@ -72,12 +84,17 @@ def run_workload(clone: Path, workload: str, trace: int) -> dict:
     return report
 
 
+def bench_files(root: Path = ROOT) -> list[tuple[int, Path]]:
+    """(k, path) of every BENCH_<k>.json in root, in order of k."""
+    return sorted((int(m[1]), p) for p in root.glob("BENCH_*.json")
+                  if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name)))
+
+
 def latest_bench() -> Path:
-    found = [(int(m[1]), p) for p in ROOT.glob("BENCH_*.json")
-             if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))]
+    found = bench_files()
     if not found:
         sys.exit("no BENCH_<k>.json at the repository root")
-    return max(found)[1]
+    return found[-1][1]
 
 
 def judge(report: dict, counts: dict, source: str) -> bool:
@@ -137,14 +154,48 @@ def check(report_path: Path) -> int:
     return 0 if judge(report, want, bench.name) else 1
 
 
+def trajectory(root: Path = ROOT) -> str:
+    """The BENCH_<k>.json files in root as a markdown table, one row each."""
+    columns = [f"{w} {name} ({unit})" for w in WORKLOADS for name, unit in END_TO_END]
+    lines = [
+        "Timing columns: one unpaired 3 s untraced run at seed 1 per file, not a "
+        "perf claim; only the exact counts are gated.",
+        "",
+        "| " + " | ".join(["file", "commit", "measured", "gated counts", *columns]) + " |",
+        "|" + "---|" * (4 + len(columns)),
+    ]
+    previous = None
+    for k, path in bench_files(root):
+        workloads = json.loads(path.read_text())["workloads"]
+        counts = {w: workloads[w]["exact_counts"] for w in workloads}
+        commit = next(iter(workloads.values()))["trace0"]["environment"]["git_commit"]
+        cells = [
+            path.name,
+            (commit or "unknown")[:7],
+            "clean clone, uncached" if k >= FIRST_CLONED else "checkout as it stood",
+            "first" if previous is None else "as previous" if counts == previous else "changed",
+        ]
+        for w in WORKLOADS:
+            metrics = workloads[w]["trace0"]["metrics"] if w in workloads else {}
+            cells += [f"{metrics[name]['value']:.4g}" if name in metrics else "" for name, _ in END_TO_END]
+        lines.append("| " + " | ".join(cells) + " |")
+        previous = counts
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--out", type=Path, help="record HEAD into this file at the repository root")
     mode.add_argument("--check", type=Path, metavar="REPORT", help="judge one run's report")
+    mode.add_argument("--trajectory", action="store_true",
+                      help="print every BENCH_<k>.json as one table row")
     args = parser.parse_args(argv)
     if args.check:
         return check(args.check)
+    if args.trajectory:
+        print(trajectory())
+        return 0
     record(ROOT / args.out.name)
     return 0
 
