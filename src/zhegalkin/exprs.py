@@ -147,12 +147,15 @@ def _lex(source: str) -> list[str]:
 
 def _kind(text: str) -> str:
     """A token's kind: var (one monomial: x<i> factors joined by "*"),
-    name, num, or else the text itself (punctuation, "" at the end)."""
-    if not text.isascii() or not text[:1].isalnum():
+    name, num, or else the text itself (punctuation, "" at the end).  Only
+    the first character decides: the lexer starts no other token with an
+    ASCII letter or digit, and a monomial may hold non-ASCII spaces."""
+    head = text[:1]
+    if not head.isascii() or not head.isalnum():
         return text
-    if text[0].isdigit():
+    if head.isdigit():
         return "num"
-    return "var" if text[0] == "x" and text[1:2].isdigit() else "name"
+    return "var" if head == "x" and text[1:2].isdigit() else "name"
 
 
 def _at(source: str, i: int, offset: int = 0) -> int:

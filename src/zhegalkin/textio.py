@@ -49,30 +49,25 @@ def _tokens(source: str) -> list[str]:
     return tokens
 
 
-def _read_factors(source: str, text: str, i: int, arity: int) -> int:
-    """Monomial mask of token i, `text`, each factor read with int();
-    raises the error of its first bad factor."""
+def _factor_bit(source: str, text: str, i: int, mask: int, arity: int) -> int:
+    """The bit of the factor after those in `mask` in token i, `text`, read
+    with int(); raises the factor's error."""
     if _kind(text) != "var":
         raise ParseError("expected 'x'", _at(source, i))
-    mask = 0
-    last = 0
-    start = 0  # where the next factor's part of text begins
-    for factor in text.split("*"):
-        at = start + factor.index("x")  # the factor's offset in text
-        start += len(factor) + 1
-        index = _number(factor.strip()[1:], source, i, at)
-        if last < index <= arity:
-            mask |= 1 << (index - 1)
-            last = index
-            continue
-        if index < 1:
-            message = "variable index must be at least 1"
-        elif index > arity:
-            message = f"variable x{index} exceeds arity {arity}"
-        else:
-            message = "variable indices must ascend within a term"
-        raise ParseError(message, _at(source, i, at))
-    return mask
+    k = mask.bit_count()  # the factors before this one
+    at = -1  # the factor's offset in text: its "x" is the k-th
+    for _ in range(k + 1):
+        at = text.index("x", at + 1)
+    index = _number(text.split("*")[k].strip()[1:], source, i, at)
+    if index < 1:
+        message = "variable index must be at least 1"
+    elif index > arity:
+        message = f"variable x{index} exceeds arity {arity}"
+    elif 1 << (index - 1) <= mask:
+        message = "variable indices must ascend within a term"
+    else:
+        return 1 << (index - 1)
+    raise ParseError(message, _at(source, i, at))
 
 
 def _read_anf(source: str, tokens, i: int, arity: int, stop: str) -> tuple[ZhegalkinPoly, int]:
@@ -90,11 +85,10 @@ def _read_anf(source: str, tokens, i: int, arity: int, stop: str) -> tuple[Zhega
         mask = 0
         if text != "1":
             # each bit must be a named factor's, above the factors before
-            # it and within the arity
+            # it and within the arity; any other factor is read with int()
             for bit in map(bit_of, text.split("*")):
                 if bit is None or bit <= mask or bit >> arity:
-                    mask = _read_factors(source, text, i, arity)
-                    break
+                    bit = _factor_bit(source, text, i, mask, arity)
                 mask |= bit
             # the lexer folds every "*x<j>" into the token, so a "*" after
             # it has no factor behind it
@@ -213,7 +207,10 @@ def parse_table(source: str) -> TruthTable:
     if m.end() != len(source):
         raise ParseError("unexpected trailing input", m.end())
     at = m.start(1)
-    arity = _number(m[1], source, 0)  # the lexer's first token is these digits
+    try:
+        arity = int(m[1])
+    except ValueError:  # beyond the interpreter's int/str digit limit
+        raise ParseError(f"number too long ({len(m[1])} digits)", at) from None
     if arity < 1:
         raise ParseError("arity must be at least 1", at)
     if arity > MAX_DENSE_ARITY:

@@ -327,12 +327,15 @@ def test_values_are_safe_to_share_between_threads():
     start = threading.Barrier(len(results), action=_level_masks.cache_clear)
 
     def run(i):
+        # a failed thread releases the others; one that is done must not,
+        # as a thread still leaving the last round's wait would then fail
         try:
             for _ in range(rounds):
                 start.wait()
                 results[i].append(work())
-        finally:
-            start.abort()  # a failed thread releases the others
+        except BaseException:
+            start.abort()
+            raise
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
     interval = sys.getswitchinterval()

@@ -3,9 +3,9 @@ recorded file.
 
 The corpus is canonical ANF, form and operator-field texts and rendered
 expressions, each edited at random (0-3 edits of inserted, deleted or
-replaced characters, some of them non-ASCII, and now and then a digit
-run too long for `int`), at arities 1-6, 20, 40 and 63-70, so the factor
-indices cross x64/x65.
+replaced characters, some of them non-ASCII letters or spaces, and now
+and then a digit run too long for `int`), at arities 1-6, 20, 40 and
+63-70, so the factor indices cross x64/x65.
 An outcome is the parsed value's repr or, on a ValueError (ParseError
 included), its type, message and position.  `parse_parity.txt.gz` holds
 one outcome per line, in corpus order, as gzipped text (`zcat` reads it);
@@ -25,8 +25,8 @@ DATA = Path(__file__).with_name("parse_parity.txt.gz")
 SEED = 2311
 PER_PARSER = 2000
 ARITIES = (1, 2, 3, 4, 5, 6, 20, 40, 63, 64, 65, 70)
-TEXT_ALPHABET = "x0123456789*+ 1()dD{},\t\u00b2\u00e9"
-EXPR_ALPHABET = "x0123456789&|^!() andorxnt*+$\u00b2\u00e9"
+TEXT_ALPHABET = "x0123456789*+ 1()dD{},\t\u00a0\u3000\u00b2\u00e9"
+EXPR_ALPHABET = "x0123456789&|^!() andorxnt*+$\u00a0\u3000\u00b2\u00e9"
 
 
 def anf_text(rng, n, max_terms=4):

@@ -11,6 +11,7 @@ from zhegalkin import (
     ZhegalkinPoly,
     differential,
     parse_anf,
+    parse_expr,
     parse_form,
     parse_secant,
     parse_table,
@@ -58,6 +59,7 @@ def test_numbers_are_ascii_digits():
         (lambda s: parse_secant(s, 2), "(1)*D" + "1" * 5000, 5),
         (parse_table, "\u00b2:1", 0),
         (parse_table, "1" * 5000 + ":0", 0),
+        (parse_table, "  " + "1" * 5000 + ":0", 2),
     ):
         with pytest.raises(ParseError) as info:
             parse(src)
@@ -273,12 +275,15 @@ def test_parsers_reject_non_text():
         (lambda s: parse_anf(s, 3), "x0", ("variable index must be at least 1", 0)),
         (lambda s: parse_anf(s, 3), "x1*x" + "9" * 5000, ("number too long (5000 digits)", 3)),
         (lambda s: parse_anf(s, 3), "x1+x1*x2 + x1", ("duplicate term", 11)),
+        (lambda s: parse_anf(s, 2), "x1\u00a0*x2", "x1*x2"),
+        (lambda s: parse_anf(s, 2), "x1*\u3000x1", ("variable indices must ascend within a term", 4)),
+        (parse_expr, "x1\u00a0*x2", ("unexpected character '*'", 3)),
     ],
 )
 def test_inputs_off_the_fast_factor_read(parse, src, want):
     # factors that the x1..x64 table does not read (leading zeros, a space
-    # before "*", indices above 64, over-long digit runs) and the errors it
-    # hands to the int() route
+    # before "*", non-ASCII spaces, indices above 64, over-long digit runs)
+    # and the errors it hands to the int() route
     if isinstance(want, str):
         assert str(parse(src)) == want
         return
