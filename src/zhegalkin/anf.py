@@ -43,7 +43,8 @@ crossing, and its butterflies and operand crossings add an overhead of
 |a|*|b| > 2^n + 256 and n <= MAX_DENSE_ARITY, and folds term pairs
 otherwise.  Just over that threshold the table route measured 1.7-4.7x
 faster for n = 5..16.  Above MAX_DENSE_ARITY there are no tables, and `*`
-refuses more than 2^MAX_DENSE_ARITY term pairs before folding.
+refuses more than 2^MAX_DENSE_ARITY term pairs before folding.  An n-ary
+sum (`_sum`) XORs every operand's term set into one set and freezes it once.
 """
 
 from __future__ import annotations
@@ -167,6 +168,14 @@ def _xor_fold(masks) -> frozenset:
         else:
             folded.add(m)
     return frozenset(folded)
+
+
+def _sum(arity: int, polys) -> ZhegalkinPoly:
+    """The sum of polynomials of this arity: one set, frozen once."""
+    terms = set()
+    for p in polys:
+        terms ^= p.terms
+    return _make_poly(arity, frozenset(terms))
 
 
 def mask_from_indices(indices, arity: int) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .anf import ZhegalkinPoly, _check_positive, _Value
+from .anf import ZhegalkinPoly, _check_positive, _sum, _Value
 
 __all__ = [
     "And",
@@ -275,13 +275,10 @@ def _translate(expr: Expr, n: int) -> ZhegalkinPoly:
         return ZhegalkinPoly.constant(n, expr.value)
     if not isinstance(expr, _Chain):
         raise TypeError(f"not an expression node: {expr!r}")
+    if isinstance(expr, Xor):
+        return _sum(n, (_translate(operand, n) for operand in expr.operands))
     acc = _translate(expr.operands[0], n)
     for operand in expr.operands[1:]:
         b = _translate(operand, n)
-        if isinstance(expr, And):
-            acc = acc * b
-        elif isinstance(expr, Xor):
-            acc = acc + b
-        else:
-            acc = acc + b + acc * b
+        acc = acc * b if isinstance(expr, And) else acc + b + acc * b
     return acc

@@ -9,7 +9,7 @@ dual basis, where d_i(D_j) is 1 exactly when i = j.
 
 from __future__ import annotations
 
-from .anf import ZhegalkinPoly, _check_index, _check_positive, _check_same_arity, _Value
+from .anf import ZhegalkinPoly, _check_index, _check_positive, _check_same_arity, _sum, _Value
 from .forms import KForm
 
 __all__ = ["SecantElement", "differential", "pair"]
@@ -43,11 +43,8 @@ class SecantElement(_Value):
     def apply(self, g: ZhegalkinPoly) -> ZhegalkinPoly:
         """Act on a polynomial: sum_i f_i * (partial of g in x_i)."""
         _check_same_arity(self, g)
-        acc = ZhegalkinPoly.zero(self.arity)
-        for i, f in enumerate(self.coeffs, start=1):
-            if f.terms:
-                acc = acc + f * g.partial(i)
-        return acc
+        slots = enumerate(self.coeffs, start=1)
+        return _sum(self.arity, (f * g.partial(i) for i, f in slots if f.terms))
 
     def __add__(self, other):
         if not isinstance(other, SecantElement):
@@ -85,9 +82,5 @@ def pair(omega: KForm, phi: SecantElement) -> ZhegalkinPoly:
     if omega.degree != 1:
         raise ValueError(f"pairing requires a 1-form, got degree {omega.degree}")
     _check_same_arity(omega, phi)
-    acc = ZhegalkinPoly.zero(omega.arity)
-    for i, f in enumerate(phi.coeffs, start=1):
-        g = omega.coeffs.get(1 << (i - 1))
-        if g is not None and f.terms:
-            acc = acc + g * f
-    return acc
+    slots = ((omega.coeffs.get(1 << (i - 1)), f) for i, f in enumerate(phi.coeffs, start=1))
+    return _sum(omega.arity, (g * f for g, f in slots if g is not None and f.terms))

@@ -13,8 +13,9 @@ ASCII digits; otherwise it sticks to the canonical shapes (indices must
 ascend, repeated terms or index sets are rejected rather than folded).
 A monomial such as "x1 * x3" is one token, so ANF text costs one token
 per term.  Its factors x1..x64, written canonically, are read by a table
-lookup; any other factor (x01, x65, a space before "*") goes through int().
-As for expressions, lexing is one regex scan, and a token's position is
+lookup; any other (x01, x65, a space before "*") is read on its own by
+int(), at an offset carried along the token, so no text makes the parser
+read a factor twice.  Lexing is one regex scan, and a token's position is
 found only when an error is raised.
 """
 
@@ -49,16 +50,13 @@ def _tokens(source: str) -> list[str]:
     return tokens
 
 
-def _factor_bit(source: str, text: str, i: int, mask: int, arity: int) -> int:
-    """The bit of the factor after those in `mask` in token i, `text`, read
-    with int(); raises the factor's error."""
-    if _kind(text) != "var":
+def _factor_bit(source: str, factor: str, i: int, start: int, mask: int, arity: int) -> int:
+    """The bit of `factor`, the text at offset `start` of token i after the
+    factors in `mask`, read with int(); raises the factor's error."""
+    if not start and _kind(factor) != "var":
         raise ParseError("expected 'x'", _at(source, i))
-    k = mask.bit_count()  # the factors before this one
-    at = -1  # the factor's offset in text: its "x" is the k-th
-    for _ in range(k + 1):
-        at = text.index("x", at + 1)
-    index = _number(text.split("*")[k].strip()[1:], source, i, at)
+    at = start + factor.index("x")  # the factor's offset in the token
+    index = _number(factor.strip()[1:], source, i, at)
     if index < 1:
         message = "variable index must be at least 1"
     elif index > arity:
@@ -86,10 +84,13 @@ def _read_anf(source: str, tokens, i: int, arity: int, stop: str) -> tuple[Zhega
         if text != "1":
             # each bit must be a named factor's, above the factors before
             # it and within the arity; any other factor is read with int()
-            for bit in map(bit_of, text.split("*")):
+            start = 0  # the factor's offset in text
+            for factor in text.split("*"):
+                bit = bit_of(factor)
                 if bit is None or bit <= mask or bit >> arity:
-                    bit = _factor_bit(source, text, i, mask, arity)
+                    bit = _factor_bit(source, factor, i, start, mask, arity)
                 mask |= bit
+                start += len(factor) + 1
             # the lexer folds every "*x<j>" into the token, so a "*" after
             # it has no factor behind it
             if tokens[i + 1] == "*":

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -194,6 +195,16 @@ def test_expr_to_anf_long_flat_chain():
     for op, want in (("^", "0"), ("&", "x1"), ("|", "x1")):
         tree = parse_expr(f" {op} ".join(["x1"] * 5000))
         assert str(expr_to_anf(tree, 1)) == want
+
+
+def test_expr_to_anf_xor_chain_is_one_sum():
+    # an n-ary XOR folds its operands into one term set, not a copy per operand
+    n = 8000
+    tree = parse_expr(" ^ ".join(f"x{i}" for i in range(1, n + 1)))
+    start = time.perf_counter()
+    got = expr_to_anf(tree, n)
+    assert time.perf_counter() - start < 1
+    assert got.terms == {1 << i for i in range(n)}
 
 
 def test_expr_to_anf_arity_check():

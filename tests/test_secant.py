@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -201,6 +202,17 @@ def test_pair_matches_apply_on_every_basis_pair(n):
             expected = ZhegalkinPoly(n, [m ^ bit] if m & bit else [])
             assert pair(differential(f), unit) == expected
             assert unit.apply(f) == expected
+
+
+def test_pair_with_thousands_of_slots_is_one_sum():
+    # sum_i 1 * x_i over 4000 slots, folded into one term set
+    n = 4000
+    omega = differential(ZhegalkinPoly(n, [1 << i for i in range(n)]))
+    phi = SecantElement(n, [ZhegalkinPoly.variable(n, i) for i in range(1, n + 1)])
+    start = time.perf_counter()
+    got = pair(omega, phi)
+    assert time.perf_counter() - start < 1
+    assert got.terms == {1 << i for i in range(n)}
 
 
 def test_pair_zero_form():

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -308,3 +309,47 @@ def test_error_near_the_end_of_a_long_text():
         parse_anf(text + " + " + pairs[9_998], 150)
     assert info.value.position == len(text) + 3
     assert str(info.value).startswith("duplicate term")
+
+
+def _monomial(first: int, stop: int, sep: str = "*") -> str:
+    return sep.join(f"x{i}" for i in range(first, stop))
+
+
+def test_long_monomial_round_trip_is_linear():
+    # each factor off the x1..x64 table is read on its own, at its offset
+    n = 20_000
+    p = ZhegalkinPoly(n, [(1 << n) - 1])
+    start = time.perf_counter()
+    assert parse_anf(str(p), n) == p
+    assert time.perf_counter() - start < 1
+
+
+def test_long_spaced_monomial_reads_in_linear_time():
+    # no factor followed by " *" is on the table
+    n = 10_000
+    text = _monomial(1, n + 1, " * ")
+    start = time.perf_counter()
+    p = parse_anf(text, n)
+    assert time.perf_counter() - start < 1
+    assert p.terms == {(1 << n) - 1}
+
+
+@pytest.mark.parametrize(
+    "src, n, message, where",
+    [
+        # outcomes recorded with the parser that searched the token for each
+        # off-table factor's offset
+        (_monomial(65, 5065) + "*x70", 6000,
+         "variable indices must ascend within a term", 29030),
+        (_monomial(1, 3001) + "*x0*x3002", 4000, "variable index must be at least 1", 16893),
+        (_monomial(1, 2001) + "*x" + "9" * 5000, 3000, "number too long (5000 digits)", 10893),
+        (_monomial(1, 4001, " * ") + " * x4001", 4000, "variable x4001 exceeds arity 4000", 30893),
+        (_monomial(1, 3001) + " + y7", 4000, "expected 'x'", 16895),
+    ],
+    ids=["ascent", "x0", "digits", "spaced", "not-x"],
+)
+def test_error_positions_inside_long_monomials(src, n, message, where):
+    with pytest.raises(ParseError) as info:
+        parse_anf(src, n)
+    assert str(info.value) == f"{message} (at position {where})"
+    assert info.value.position == where
