@@ -24,7 +24,9 @@ before the syntax error is raised, so one after the failure still wins.
 
 Cost model: lexing is one regex scan that yields token texts only, and a
 token's source position is found, by scanning the source again, only when
-an error is raised.
+an error is raised.  One reader reads an operand ("!", a group or an
+atom), then each run of one operator after it that binds at least as
+tightly as its caller allows, as one node: an operand costs one call.
 """
 
 from __future__ import annotations
@@ -124,8 +126,8 @@ _set_operands = _Chain.operands.__set__
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
 _OPERATORS = frozenset("&|^!()") | {""}  # "" is the end of input
-# the binary operators by text, loosest first; words map onto them
-_LEVELS = (("|", Or), ("^", Xor), ("&", And))
+# binary operator text -> (level, 0 loosest; node); words map onto them
+_LEVELS = {"|": (0, Or), "^": (1, Xor), "&": (2, And)}
 
 # The one lexer for every text format: monomials x<i>*x<j>*..., ASCII
 # words, ASCII numbers, and any other non-space character on its own.
@@ -208,23 +210,9 @@ def _expect(source: str, tokens, i: int, text: str) -> int:
     return i + 1
 
 
-def _read_binary(source: str, tokens, i: int, level: int, depth: int) -> tuple[Expr, int]:
-    """The chain of _LEVELS[level] operators over the next level's chains
-    at tokens[i] (a lone operand as itself), and the index after it."""
-    if level == len(_LEVELS):
-        return _read_unary(source, tokens, i, depth)
-    op, node = _LEVELS[level]
-    first, i = _read_binary(source, tokens, i, level + 1, depth)
-    if _WORD_OPS.get(tokens[i], tokens[i]) != op:
-        return first, i
-    operands = [first]
-    while _WORD_OPS.get(tokens[i], tokens[i]) == op:
-        operand, i = _read_binary(source, tokens, i + 1, level + 1, depth)
-        operands.append(operand)
-    return node(operands), i
-
-
-def _read_unary(source: str, tokens, i: int, depth: int) -> tuple[Expr, int]:
+def _read(source: str, tokens, i: int, level: int, depth: int) -> tuple[Expr, int]:
+    """The expression at tokens[i] whose operators bind at `level` or
+    tighter (len(_LEVELS): a lone operand), and the index after it."""
     text = tokens[i]
     op = _WORD_OPS.get(text, text)
     if op == "!" or op == "(":
@@ -232,22 +220,34 @@ def _read_unary(source: str, tokens, i: int, depth: int) -> tuple[Expr, int]:
         if depth > _MAX_DEPTH:
             raise ParseError("expression nested too deeply", _at(source, i))
         if op == "!":
-            child, i = _read_unary(source, tokens, i + 1, depth)
-            return Not(child), i
-        inner, i = _read_binary(source, tokens, i + 1, 0, depth)
-        return inner, _expect(source, tokens, i, ")")
-    atom = _atom(source, text, i)
-    if atom is not None:
-        return atom, i + 1
-    message = f"unexpected token {op!r}" if text else "unexpected end of input"
-    raise ParseError(message, _at(source, i))
+            child, i = _read(source, tokens, i + 1, len(_LEVELS), depth)
+            expr = Not(child)
+        else:
+            expr, i = _read(source, tokens, i + 1, 0, depth)
+            i = _expect(source, tokens, i, ")")
+    else:
+        expr = _atom(source, text, i)
+        if expr is None:
+            message = f"unexpected token {op!r}" if text else "unexpected end of input"
+            raise ParseError(message, _at(source, i))
+        i += 1
+    while True:
+        op = _WORD_OPS.get(tokens[i], tokens[i])
+        at, node = _LEVELS.get(op, (-1, None))
+        if at < level:
+            return expr, i
+        operands = [expr]
+        while _WORD_OPS.get(tokens[i], tokens[i]) == op:
+            operand, i = _read(source, tokens, i + 1, at + 1, depth)
+            operands.append(operand)
+        expr = node(operands)
 
 
 def parse_expr(source: str) -> Expr:
     """Parse an expression; raises ParseError with a position on bad input."""
     tokens = _lex(source)
     try:
-        expr, i = _read_binary(source, tokens, 0, 0, 0)
+        expr, i = _read(source, tokens, 0, 0, 0)
         if tokens[i]:
             raise ParseError("unexpected trailing input", _at(source, i))
         return expr

@@ -5,7 +5,10 @@ The corpus is canonical ANF, form and operator-field texts and rendered
 expressions, each edited at random (0-3 edits of inserted, deleted or
 replaced characters, some of them non-ASCII letters or spaces, and now
 and then a digit run too long for `int`), at arities 1-6, 20, 40 and
-63-70, so the factor indices cross x64/x65.
+63-70, so the factor indices cross x64/x65.  Two exhaustive sections of
+short expressions follow: every chain of 0-4 binary operators over three
+operand shapes, and every run of 0-4 space-joined tokens from a small set
+that holds each token kind and operator.
 An outcome is the parsed value's repr or, on a ValueError (ParseError
 included), its type, message and position.  `parse_parity.txt.gz` holds
 one outcome per line, in corpus order, as gzipped text (`zcat` reads it);
@@ -16,6 +19,7 @@ the file again after a deliberate change of behaviour:
 """
 
 import gzip
+import itertools
 import random
 from pathlib import Path
 
@@ -27,6 +31,9 @@ PER_PARSER = 2000
 ARITIES = (1, 2, 3, 4, 5, 6, 20, 40, 63, 64, 65, 70)
 TEXT_ALPHABET = "x0123456789*+ 1()dD{},\t\u00a0\u3000\u00b2\u00e9"
 EXPR_ALPHABET = "x0123456789&|^!() andorxnt*+$\u00a0\u3000\u00b2\u00e9"
+CHAIN_OPERATORS = ("&", "|", "^")
+CHAIN_OPERANDS = ("x1", "!x2", "(x3)")
+SHORT_TOKENS = ("x1", "x0", "0", "2", "&", "|", "^", "!", "(", ")", "and", "x1*x2", "$")
 
 
 def anf_text(rng, n, max_terms=4):
@@ -103,6 +110,14 @@ def corpus():
     for _ in range(PER_PARSER):
         n = rng.choice(ARITIES)
         cases.append((parse_expr, (mutate(rng, expr_text(rng, n), EXPR_ALPHABET),)))
+    for length in range(5):
+        for ops in itertools.product(CHAIN_OPERATORS, repeat=length):
+            for operands in itertools.product(CHAIN_OPERANDS, repeat=length + 1):
+                text = operands[0] + "".join(f" {op} {x}" for op, x in zip(ops, operands[1:]))
+                cases.append((parse_expr, (text,)))
+    for length in range(5):
+        for run in itertools.product(SHORT_TOKENS, repeat=length):
+            cases.append((parse_expr, (" ".join(run),)))
     return cases
 
 
