@@ -126,7 +126,7 @@ _set_operands = _Chain.operands.__set__
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
 _OPERATORS = frozenset("&|^!()") | {""}  # "" is the end of input
-# binary operator text -> (level, 0 loosest; node); words map onto them
+# binary operator text -> (level, node), level 0 the loosest; words map onto them
 _LEVELS = {"|": (0, Or), "^": (1, Xor), "&": (2, And)}
 
 # The one lexer for every text format: monomials x<i>*x<j>*..., ASCII
