@@ -26,8 +26,9 @@ route of `*` also keeps the packed coefficient vector it was built from,
 as derived data in a private slot set only while it is built, so
 `coeff_bits`, `to_truth_table` and `*` never pack it again; so do the
 outputs of the packed route of `KForm.d`.  Packed tables are walked per
-entry and monomials per set bit (`m & -m`), so a monomial costs its
-factors, not its width; `indices_from_mask` walks a mask's bytes once.
+entry.  `str` peels a monomial one set bit at a time (`m & -m`), and each
+peel is an int operation as wide as the mask, so a term costs its factors
+times its width; `indices_from_mask` walks a mask's bytes once.
 
 Routes: `*` and `KForm.d` each have a route over term sets and one over
 packed vectors, and each picks by its own size rule, written where it is
@@ -73,7 +74,7 @@ MAX_DENSE_ARITY = 24
 _DENSE_PRODUCT_OVERHEAD = 256
 
 # Variable names that `str` looks up; a factor above them is formatted on
-# demand, so printing a polynomial costs its factors, not its highest index.
+# demand.  The table saves formatting only: each peel costs the mask's width.
 _NAMED = 64
 _NAMES = tuple(f"x{i}" for i in range(1, _NAMED + 1))
 
@@ -159,17 +160,6 @@ def _check_packed(bits, arity) -> int:
     return bits
 
 
-def _xor_fold(masks) -> frozenset:
-    """The masks that occur an odd number of times."""
-    folded = set()
-    for m in masks:
-        if m in folded:
-            folded.remove(m)
-        else:
-            folded.add(m)
-    return frozenset(folded)
-
-
 def _sum(arity: int, polys) -> ZhegalkinPoly:
     """The sum of polynomials of this arity: one set, frozen once."""
     terms = set()
@@ -222,13 +212,6 @@ def _level_masks(arity: int) -> tuple[int, ...]:
             span <<= 1
         masks.append(m)
     return tuple(masks)
-
-
-def _packed_partial(bits: int, arity: int, bit: int) -> int:
-    """The Boolean partial in the variable with mask `bit` (= 1 << i) of a
-    packed coefficient vector: monomial m holding the bit moves down 2^i =
-    `bit` positions to m ^ bit, and level mask i keeps exactly those."""
-    return (bits >> bit) & _level_masks(arity)[bit.bit_length() - 1]
 
 
 def mobius_transform(bits: int, arity: int) -> int:
@@ -291,8 +274,8 @@ class ZhegalkinPoly(_Value):
     """An n-variable Boolean function as its canonical set of monomials.
 
     Two polynomials of equal arity represent the same function iff their
-    term sets are equal.  Construction XOR-folds the given monomials, so a
-    repeated mask cancels.
+    term sets are equal.  Construction checks each given mask before it
+    XOR-folds it in, so a repeated mask cancels but never hides a bad one.
     """
 
     # `_packed`, when set, is the packed coefficient vector of `terms`;
@@ -302,14 +285,16 @@ class ZhegalkinPoly(_Value):
 
     def __init__(self, arity: int, terms=()):
         _check_positive(arity)
-        terms = list(terms)
+        folded = set()
         for m in terms:
             if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m >> arity:
-                raise ValueError(
-                    f"monomial mask {m!r} does not fit in {arity} variables"
-                )
+                raise ValueError(f"monomial mask {m!r} does not fit in {arity} variables")
+            if m in folded:
+                folded.remove(m)
+            else:
+                folded.add(m)
         _set_poly_arity(self, arity)
-        _set_terms(self, _xor_fold(terms))
+        _set_terms(self, frozenset(folded))
 
     @classmethod
     def zero(cls, arity: int) -> "ZhegalkinPoly":
@@ -367,14 +352,15 @@ class ZhegalkinPoly(_Value):
         return value
 
     def restrict(self, index: int, value: int) -> "ZhegalkinPoly":
-        """Cofactor with x_index fixed to value; same arity, x_index eliminated."""
+        """Cofactor with x_index fixed to value; same arity, x_index eliminated.
+
+        f|x_i=0 is the terms without x_i, and by the paper's identity
+        partial_i f = f|x_i=0 + f|x_i=1, f|x_i=1 is f|x_i=0 + partial_i f."""
         _check_index(index, self.arity)
         _check_bit(value, "restriction value")
         bit = 1 << (index - 1)
-        if value == 0:
-            kept = frozenset(m for m in self.terms if not m & bit)
-            return _make_poly(self.arity, kept)
-        return _make_poly(self.arity, _xor_fold(m & ~bit for m in self.terms))
+        kept = frozenset(m for m in self.terms if not m & bit)
+        return _make_poly(self.arity, kept ^ self.partial(index).terms if value else kept)
 
     def partial(self, index: int) -> "ZhegalkinPoly":
         """Boolean derivative in x_index: terms containing it, with it removed.
@@ -384,7 +370,7 @@ class ZhegalkinPoly(_Value):
         """
         _check_index(index, self.arity)
         bit = 1 << (index - 1)
-        return _make_poly(self.arity, frozenset(m & ~bit for m in self.terms if m & bit))
+        return _make_poly(self.arity, frozenset(m ^ bit for m in self.terms if m & bit))
 
     def __add__(self, other):
         if not isinstance(other, ZhegalkinPoly):
@@ -407,8 +393,8 @@ class ZhegalkinPoly(_Value):
             bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
             return _poly_from_packed(n, _butterfly(bits, n))
         # folded inline: on sparse_symbolic's own f * g operands (120 seed-1
-        # inputs, median 42 x 42 terms) feeding _xor_fold a generator ran
-        # about 1.14x slower
+        # inputs, median 42 x 42 terms) a fold function fed by a generator
+        # ran about 1.14x slower
         acc = set()
         for a in self.terms:
             for b in other.terms:
@@ -429,8 +415,8 @@ class ZhegalkinPoly(_Value):
         if not self.terms:
             return "0"
         parts = []
-        # by degree, then by mask; each term peels its lowest set bit
-        # (m & -m) per factor, so it costs its factors, not its width
+        # by degree, then by mask; a term peels its lowest set bit (m & -m)
+        # per factor, and each peel costs the mask's width: factors x width
         for m in sorted(sorted(self.terms), key=int.bit_count):
             factors = []
             while m:

@@ -14,7 +14,7 @@ from math import comb
 from types import MappingProxyType
 
 from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
-                  _check_same_arity, _coeffs, _make_poly, _new, _packed_partial,
+                  _check_same_arity, _coeffs, _level_masks, _make_poly, _new,
                   _poly_from_packed, _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
@@ -159,11 +159,11 @@ def _dense(w: KForm) -> bool:
     """Whether d of w takes the packed route (the size rule of `KForm.d`).
 
     On a k-form with T terms in all, the term route makes at most (n-k)*T
-    partial terms.  The packed route makes one word-wide partial
-    (`_packed_partial`: a shift and a mask) per coefficient and free
-    index, and crosses between a 2^n-entry vector and a term set once per
-    output (k+1)-set, at most min(C(n, k+1), (n-k) * coefficients) of
-    them, and once more per coefficient that keeps no vector, to pack it.
+    partial terms.  The packed route makes one word-wide partial (a shift
+    and a mask, see `_d_packed`) per coefficient and free index, and
+    crosses between a 2^n-entry vector and a term set once per output
+    (k+1)-set, at most min(C(n, k+1), (n-k) * coefficients) of them, and
+    once more per coefficient that keeps no vector, to pack it.
     A crossing costs about 2^n term operations, with no overhead, so the
     packed route is taken when (n-k)*T > (outputs + unkept) * 2^n.
 
@@ -225,9 +225,12 @@ def _d_terms(w: KForm) -> KForm:
 
 
 def _d_packed(w: KForm) -> KForm:
-    # w.arity <= MAX_DENSE_ARITY; the partials of each coefficient's packed
-    # vector XOR into one int per output key
+    # w.arity <= MAX_DENSE_ARITY.  The partial in the variable with mask
+    # `bit` (= 1 << i) of a packed coefficient vector: monomial m holding
+    # the bit moves down 2^i = `bit` positions to m ^ bit, and level mask i
+    # keeps exactly those.  The partials XOR into one int per output key.
     n = w.arity
+    levels = _level_masks(n)
     acc = {}
     for key, poly in w.coeffs.items():
         bits = _coeffs(poly)
@@ -236,7 +239,7 @@ def _d_packed(w: KForm) -> KForm:
             bit = free & -free
             free ^= bit
             out = key | bit
-            acc[out] = acc.get(out, 0) ^ _packed_partial(bits, n, bit)
+            acc[out] = acc.get(out, 0) ^ (bits >> bit) & levels[bit.bit_length() - 1]
     return _make_form(n, min(w.degree + 1, n), {
         out: _poly_from_packed(n, bits) for out, bits in acc.items() if bits
     })

@@ -6,7 +6,8 @@ by counting term pairs, face integrals by summing over the face's
 vertices, exterior derivatives by cofactor sums, the reference transform
 walks plain lists, the butterfly's level masks are built from bytes, ANF
 text is read by a reader with its own lexer, and expressions are
-evaluated directly on the tree.
+evaluated directly on the tree, and read by splitting at their loosest
+operator.
 """
 
 import os
@@ -166,6 +167,71 @@ def reference_parse_anf(source, arity):
         if kind != "+":
             raise ParseError("expected '+'", pos)
         i += 1
+
+
+_REFERENCE_ALIASES = {"and": "&", "or": "|", "xor": "^", "not": "!"}
+_REFERENCE_CHAINS = (("|", Or), ("^", Xor), ("&", And))  # loosest first
+_REFERENCE_DEPTH = 120  # node levels: a "(" counts 3, a "!" counts 1 (README)
+
+
+def reference_parse_expr(source):
+    """The tree of an expression whose tokens are separated by spaces, or
+    None where `parse_expr` raises.  It splits the tokens at every
+    top-level occurrence of the loosest operator among them and reads each
+    part, where the library reads an operand and then the operators after
+    it."""
+    tokens = [_REFERENCE_ALIASES.get(t, t) for t in source.split()]
+    close, opened = {}, []  # the index of each "(" -> that of its ")"
+    for k, t in enumerate(tokens):
+        if t == "(":
+            opened.append(k)
+        elif t == ")":
+            if not opened:
+                return None
+            close[opened.pop()] = k
+    return None if opened else _reference_split(tokens, close, 0, len(tokens), 0)
+
+
+def _reference_split(tokens, close, lo, hi, depth):
+    # tokens[lo:hi] holds balanced groups; a scan steps over each group
+    cuts = {op: [] for op, _ in _REFERENCE_CHAINS}
+    k = lo
+    while k < hi:
+        if tokens[k] in cuts:
+            cuts[tokens[k]].append(k)
+        k = close[k] + 1 if tokens[k] == "(" else k + 1
+    for op, node in _REFERENCE_CHAINS:
+        if cuts[op]:
+            bounds = [lo - 1, *cuts[op], hi]
+            parts = [_reference_split(tokens, close, a + 1, b, depth)
+                     for a, b in zip(bounds, bounds[1:])]
+            return None if None in parts else node(parts)
+    return _reference_operand(tokens, close, lo, hi, depth)
+
+
+def _reference_operand(tokens, close, lo, hi, depth):
+    # tokens[lo:hi] holds no operator outside its groups
+    if lo == hi:
+        return None
+    head = tokens[lo]
+    if head == "!":
+        if depth + 1 > _REFERENCE_DEPTH:
+            return None
+        child = _reference_operand(tokens, close, lo + 1, hi, depth + 1)
+        return None if child is None else Not(child)
+    if head == "(":
+        # the group must span the part: "(x1) (x2)" has no operator
+        if close[lo] != hi - 1 or depth + 3 > _REFERENCE_DEPTH:
+            return None
+        return _reference_split(tokens, close, lo + 1, hi - 1, depth + 3)
+    if hi - lo > 1:
+        return None
+    if head in ("0", "1"):
+        return Const(int(head))
+    digits = head[1:]
+    if head[:1] == "x" and digits.isascii() and digits.isdigit() and int(digits) >= 1:
+        return Var(int(digits))
+    return None
 
 
 def brute_table(poly):

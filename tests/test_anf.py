@@ -75,6 +75,13 @@ def test_constructor_folds_duplicates():
         ZhegalkinPoly(2, [4])  # mask outside two variables
 
 
+@pytest.mark.parametrize("terms", [[4, 4], [1, True], [1, 1.0], [3, 3, 4], [2, 2, -1]])
+def test_constructor_checks_each_mask_before_it_can_cancel(terms):
+    # each bad mask would cancel, or survive, in a fold that ran first
+    with pytest.raises(ValueError, match="monomial mask .* does not fit in 2 variables"):
+        ZhegalkinPoly(2, terms)
+
+
 def test_add():
     x1 = ZhegalkinPoly.variable(2, 1)
     x2 = ZhegalkinPoly.variable(2, 2)
@@ -271,6 +278,13 @@ def test_restrict_examples():
         with pytest.raises(ValueError):
             p.restrict(1, bad)
     assert p.restrict(1, True) == p.restrict(1, 1)
+
+
+def test_restrict_at_a_wide_arity():
+    x70, x1x70, x1x99 = 1 << 69, 1 | 1 << 69, 1 | 1 << 98
+    f = ZhegalkinPoly(100, [x70, x1x70, x1x99])
+    assert f.restrict(1, 1) == ZhegalkinPoly.variable(100, 99)
+    assert f.restrict(1, 0) == ZhegalkinPoly.variable(100, 70)
 
 
 def test_restrict_against_pointwise_oracle():

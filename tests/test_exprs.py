@@ -4,6 +4,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zhegalkin import (
     And,
@@ -21,7 +22,7 @@ from zhegalkin import (
     parse_table,
 )
 
-from helpers import EXPR_CORPUS, eval_expr, random_expr
+from helpers import EXPR_CORPUS, eval_expr, random_expr, reference_parse_expr
 
 
 def test_nodes_are_values():
@@ -173,6 +174,62 @@ def test_parser_totality_fuzz():
                 parse(src)
             except ParseError:
                 pass  # any other exception fails the test
+
+
+# one lexer token each, so space-joined they read the same to both readers
+_OPERAND_TOKENS = ["x1", "x2", "x3", "0", "1"]
+_BINARY_TOKENS = ["&", "|", "^", "and", "or", "xor"]
+_ANY_TOKENS = [*_OPERAND_TOKENS, *_BINARY_TOKENS, "!", "not", "(", ")",
+               "x0", "x", "2", "foo", "$", "x1*x2"]
+
+
+@st.composite
+def expression_tokens(draw, depth=3):
+    """A token list from the grammar, mostly, with up to two tokens
+    inserted, dropped or replaced, inside up to 45 "(" between two runs of
+    up to 60 "!", so that both sides of the nesting bound are drawn."""
+
+    def operand(d):
+        kind = draw(st.sampled_from(["atom", "atom", "not", "group"] if d else ["atom"]))
+        if kind == "atom":
+            return [draw(st.sampled_from(_OPERAND_TOKENS))]
+        if kind == "not":
+            return [draw(st.sampled_from(["!", "not"])), *operand(d - 1)]
+        return ["(", *chain(d - 1), ")"]
+
+    def chain(d):
+        tokens = operand(d)
+        for _ in range(draw(st.integers(0, 3))):
+            tokens += [draw(st.sampled_from(_BINARY_TOKENS)), *operand(d)]
+        return tokens
+
+    tokens = chain(depth)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+        if edit == "insert" or at == len(tokens):
+            tokens.insert(at, draw(st.sampled_from(_ANY_TOKENS)))
+        elif edit == "drop":
+            del tokens[at]
+        else:
+            tokens[at] = draw(st.sampled_from(_ANY_TOKENS))
+    parens = draw(st.integers(0, 45))
+    bangs, inner = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+    return ["!"] * bangs + ["("] * parens + ["!"] * inner + tokens + [")"] * parens
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(expression_tokens())
+def test_parse_expr_agrees_with_the_reference_reader(tokens):
+    # parse_expr accepts exactly what the reference accepts, as an equal
+    # tree; messages and positions are pinned by the parity corpus
+    source = " ".join(tokens)
+    want = reference_parse_expr(source)
+    try:
+        got = parse_expr(source)
+    except ParseError:
+        got = None
+    assert got == want, source
 
 
 def test_expr_to_anf_disjunction():

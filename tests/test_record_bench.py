@@ -80,19 +80,20 @@ def test_record_outside_a_git_checkout_exits_with_one_line(tmp_path):
     assert not (tmp_path / "BENCH_1.json").exists()
 
 
-def write_bench(root, k, commit, ops_per_s, counts):
+def write_bench(root, k, commit, ops_per_s, counts, attempted=40, tail_percentile=75.0):
     """A BENCH_<k>.json holding one stokes_sweep run with these values."""
     metrics = {name: {"value": 1.0, "unit": unit} for name, unit in record_bench.END_TO_END}
     metrics["ops_per_s"]["value"] = ops_per_s
     bench = {"workloads": {WORKLOAD: {
         "exact_counts": counts,
-        "trace0": {"environment": {"git_commit": commit}, "metrics": metrics},
+        "trace0": {"environment": {"git_commit": commit}, "metrics": metrics,
+                   "attempted": attempted, "op_tail_percentile": tail_percentile},
     }}}
     (root / f"BENCH_{k}.json").write_text(json.dumps(bench))
 
 
 def test_trajectory_prints_one_row_per_file_in_order_of_k(tmp_path):
-    write_bench(tmp_path, 22, "b" * 40, 250.0, {"anf.terms_out": 7})
+    write_bench(tmp_path, 22, "b" * 40, 250.0, {"anf.terms_out": 7}, 4744, 99.00927487352445)
     write_bench(tmp_path, 9, "a" * 40, 125.5, {"anf.terms_out": 7})
     write_bench(tmp_path, 23, None, 300.0, {"anf.terms_out": 8})
     table = record_bench.trajectory(tmp_path)
@@ -108,5 +109,10 @@ def test_trajectory_prints_one_row_per_file_in_order_of_k(tmp_path):
     ]
     ops = columns.index(f"{WORKLOAD} ops_per_s (1/s)")
     assert [row[ops] for row in cells] == ["125.5", "250", "300"]
+    # each timing sits beside the size of its sample, so a thin one shows
+    attempted = columns.index(f"{WORKLOAD} attempted")
+    assert columns[attempted + 1] == f"{WORKLOAD} tail percentile"
+    assert [row[attempted:attempted + 2] for row in cells] == [
+        ["40", "p75"], ["4744", "p99"], ["40", "p75"]]
     # a workload the files do not hold has empty cells
     assert all(row[columns.index("dense_tables ops_per_s (1/s)")] == "" for row in cells)

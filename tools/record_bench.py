@@ -30,9 +30,11 @@ that alters the counts on purpose records a new BENCH_<k>.json.
 The trajectory prints one markdown row per BENCH_<k>.json, in order of k:
 the commit, what was measured (a clean clone without a bytecode cache
 from BENCH_22 on, the checkout as it stood before), whether the gated
-counts equal the previous file's, and each workload's end-to-end metrics
-from its untraced run.  Those timings are single unpaired 3 s runs on a
-shared host: they show a direction at best and carry no claim.
+counts equal the previous file's, and for each workload's untraced run the
+ops it attempted, the percentile its tail metric read and its end-to-end
+metrics.  Those timings are single unpaired 3 s runs on a shared host:
+they show a direction at best and carry no claim, and a run of few ops,
+whose tail is a low percentile, shows less than that.
 """
 
 from __future__ import annotations
@@ -156,10 +158,12 @@ def check(report_path: Path) -> int:
 
 def trajectory(root: Path = ROOT) -> str:
     """The BENCH_<k>.json files in root as a markdown table, one row each."""
-    columns = [f"{w} {name} ({unit})" for w in WORKLOADS for name, unit in END_TO_END]
+    columns = [column for w in WORKLOADS for column in (
+        f"{w} attempted", f"{w} tail percentile", *(f"{w} {name} ({unit})" for name, unit in END_TO_END))]
     lines = [
-        "Timing columns: one unpaired 3 s untraced run at seed 1 per file, not a "
-        "perf claim; only the exact counts are gated.",
+        "Timing columns: one unpaired 3 s untraced run at seed 1 per file, beside "
+        "the ops it attempted and the percentile its tail read; not a perf claim; "
+        "only the exact counts are gated.",
         "",
         "| " + " | ".join(["file", "commit", "measured", "gated counts", *columns]) + " |",
         "|" + "---|" * (4 + len(columns)),
@@ -176,7 +180,10 @@ def trajectory(root: Path = ROOT) -> str:
             "first" if previous is None else "as previous" if counts == previous else "changed",
         ]
         for w in WORKLOADS:
-            metrics = workloads[w]["trace0"]["metrics"] if w in workloads else {}
+            run = workloads[w]["trace0"] if w in workloads else {}
+            metrics = run.get("metrics", {})
+            tail = run.get("op_tail_percentile")
+            cells += [str(run.get("attempted", "")), "" if tail is None else f"p{tail:.3g}"]
             cells += [f"{metrics[name]['value']:.4g}" if name in metrics else "" for name, _ in END_TO_END]
         lines.append("| " + " | ".join(cells) + " |")
         previous = counts
