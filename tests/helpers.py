@@ -5,9 +5,9 @@ check: truth tables are rebuilt by pointwise `evaluate` calls, products
 by counting term pairs, face integrals by summing over the face's
 vertices, exterior derivatives by cofactor sums, the reference transform
 walks plain lists, the butterfly's level masks are built from bytes, ANF
-text is read by a reader with its own lexer, and expressions are
-evaluated directly on the tree, and read by splitting at their loosest
-operator.
+text is read by a reader with its own lexer, expressions are read by
+splitting at their loosest operator, and they are evaluated directly on
+the tree.
 """
 
 import os

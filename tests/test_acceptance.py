@@ -86,12 +86,12 @@ def test_criterion_3_derivative_identity():
     for n in (1, 2, 3):
         for f in all_polys(n):
             for i in range(1, n + 1):
-                if f.partial(i) != f.restrict(i, 0) + f.restrict(i, 1):
+                df = f.partial(i)
+                if df != f.restrict(i, 0) + f.restrict(i, 1):
                     mismatches += 1
                 # restrict(i, 1) is built from partial, so the identity above
                 # holds by construction; the pointwise cofactor sum does not
                 bit = 1 << (i - 1)
-                df = f.partial(i)
                 for v in range(1 << n):
                     if df.evaluate(v) != f.evaluate(v & ~bit) ^ f.evaluate(v | bit):
                         mismatches += 1

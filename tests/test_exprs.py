@@ -184,7 +184,7 @@ _ANY_TOKENS = [*_OPERAND_TOKENS, *_BINARY_TOKENS, "!", "not", "(", ")",
 
 
 @st.composite
-def expression_tokens(draw, depth=3):
+def expression_tokens(draw):
     """A token list from the grammar, mostly, with up to two tokens
     inserted, dropped or replaced, inside up to 45 "(" between two runs of
     up to 60 "!", so that both sides of the nesting bound are drawn."""
@@ -203,7 +203,7 @@ def expression_tokens(draw, depth=3):
             tokens += [draw(st.sampled_from(_BINARY_TOKENS)), *operand(d)]
         return tokens
 
-    tokens = chain(depth)
+    tokens = chain(3)
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(tokens)))
         edit = draw(st.sampled_from(["insert", "drop", "replace"]))
