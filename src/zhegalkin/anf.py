@@ -11,41 +11,44 @@ the vertex index k holds the value of x_j, so entry k of the table is
 f(v_k).
 
 Representation rule: the term set (a frozenset of monomial masks) is the
-canonical store of a polynomial: it alone is compared, hashed and
-pickled.  A vertex is an int mask (bit j-1 = x_j), and a packed int
-(entry k = bit k) is the one format for truth tables and coefficient
-vectors; on it the table<->ANF conversion is a handful of word-wide
-shift/xor passes (`mobius_transform`).  Every crossing between the two is
-validated once, at the public edge: a packed value from a caller by
-`_check_packed` (a `TruthTable` by its constructor), a term set by its
-arity; past that edge the butterfly runs unchecked.  Exactly two
-functions cross, each linear in the table size: `_positions` (packed int
-to ascending positions) and `_pack` (positions to packed int).  A
-polynomial built by `from_coeff_bits`, `from_truth_table` or the table
-route of `*` also keeps the packed coefficient vector it was built from,
-as derived data in a private slot set only while it is built, so
-`coeff_bits`, `to_truth_table` and `*` never pack it again; so do the
-outputs of the packed route of `KForm.d`.  Packed tables are walked per
-entry.  `str` peels a monomial one set bit at a time (`m & -m`), and each
-peel is an int operation as wide as the mask, so a term costs its factors
-times its width; `indices_from_mask` walks a mask's bytes once.
+value of a polynomial: it alone is compared, hashed and pickled.  A
+vertex is an int mask (bit j-1 = x_j), and a packed int (entry k = bit k)
+is the one format for truth tables and coefficient vectors; on it the
+table<->ANF conversion is a handful of word-wide shift/xor passes
+(`mobius_transform`).  Every crossing between the two is validated once,
+at the public edge: a packed value from a caller by `_check_packed` (a
+`TruthTable` by its constructor), a term set by its arity; past that edge
+the butterfly runs unchecked.  Exactly two functions cross, each linear
+in the table size: `_positions` (packed int to ascending positions) and
+`_pack` (positions to packed int).  A polynomial built by
+`from_coeff_bits`, `from_truth_table`, the table route of `*`, `+` of two
+vectors or the packed route of `KForm.d` stores only its arity and that
+vector, its canonical store; its term set is derived whole on the first
+read of `.terms` and stored once.  `coeff_bits`, `to_truth_table`, `*`,
+`+`, `d` and the integrals read the vector, counts and zero tests
+included, without crossing.  Any other polynomial stores its term set
+and `_packed = None`.  Packed tables are walked per entry.  `str` peels
+a monomial one set bit at a time (`m & -m`), and each peel is an int
+operation as wide as the mask, so a term costs its factors times its
+width; `indices_from_mask` walks a mask's bytes once.
 
 Routes: `*` and `KForm.d` each have a route over term sets and one over
 packed vectors, and each picks by its own size rule, written where it is
-used: the term route's work against the crossings the packed route makes.
-Above MAX_DENSE_ARITY there are no packed vectors, and both take the term
+used: each route's work and the crossings it makes.  Above
+MAX_DENSE_ARITY there are no packed vectors, and both take the term
 route.  `d`'s rule is documented beside it, in `forms`.
 
 Products: `*` is the OR-convolution of the two term sets, which the
 butterfly turns into a pointwise AND of truth tables.  Folding term pairs
-costs |a|*|b| set operations; the route through packed tables ends in one
-crossing, and its butterflies and operand crossings add an overhead of
-256.  So `*` goes through the tables, inside the one call, when
-|a|*|b| > 2^n + 256 and n <= MAX_DENSE_ARITY, and folds term pairs
-otherwise.  Just over that threshold the table route measured 1.7-4.7x
-faster for n = 5..16.  Above MAX_DENSE_ARITY there are no tables, and `*`
-refuses more than 2^MAX_DENSE_ARITY term pairs before folding.  An n-ary
-sum (`_sum`) XORs every operand's term set into one set and freezes it once.
+costs |a|*|b| set operations; the route through packed tables ends in a
+vector that crosses only if its terms are read, and its butterflies and
+operand crossings add an overhead of 256.  So `*` goes through the tables,
+inside the one call, when |a|*|b| > 2^n + 256 and n <= MAX_DENSE_ARITY,
+and folds term pairs otherwise.  Just over that threshold the table route
+measured 1.7-4.7x faster for n = 5..16.  Above MAX_DENSE_ARITY there are
+no tables, and `*` refuses more than 2^MAX_DENSE_ARITY term pairs before
+folding.  An n-ary sum (`_sum`) XORs every operand's term set into one
+set and freezes it once.
 """
 
 from __future__ import annotations
@@ -66,11 +69,11 @@ __all__ = [
 # Dense (bit-packed) truth tables are capped here; 2^24 entries = 2 MiB.
 MAX_DENSE_ARITY = 24
 
-# Fixed cost of a product through the tables, in term pairs: three
-# flag-byte crossings and three butterflies take 8-12 us at n <= 6, about
-# 100-200 set operations of the term-pair fold.  Without it the table
-# route lost 2-8x at |a|*|b| = 2^n for n <= 6.  An operand built from a
-# packed vector skips its packing crossing, so the cost is an upper bound.
+# Fixed cost of a product through the tables, in term pairs: two operand
+# packings, three butterflies and an output crossing took 8-12 us at
+# n <= 6, about 100-200 set operations of the term-pair fold; without it
+# the table route lost 2-8x at |a|*|b| = 2^n.  The output now holds only
+# its vector, and an operand holding one is not packed: an upper bound.
 _DENSE_PRODUCT_OVERHEAD = 256
 
 # Variable names that `str` looks up; a factor above them is formatted on
@@ -278,8 +281,8 @@ class ZhegalkinPoly(_Value):
     XOR-folds it in, so a repeated mask cancels but never hides a bad one.
     """
 
-    # `_packed`, when set, is the packed coefficient vector of `terms`;
-    # it is derived data, so it is not one of the fields
+    # `_packed` is the vector a polynomial was built from, or None, and is
+    # not a field; with a vector, `terms` is unset until read (`__getattr__`)
     __match_args__ = ("arity", "terms")
     __slots__ = (*__match_args__, "_packed")
 
@@ -295,6 +298,7 @@ class ZhegalkinPoly(_Value):
                 folded.add(m)
         _set_poly_arity(self, arity)
         _set_terms(self, frozenset(folded))
+        _set_packed(self, None)
 
     @classmethod
     def zero(cls, arity: int) -> "ZhegalkinPoly":
@@ -376,6 +380,9 @@ class ZhegalkinPoly(_Value):
         if not isinstance(other, ZhegalkinPoly):
             return NotImplemented
         _check_same_arity(self, other)
+        bits = self._packed
+        if bits is not None and other._packed is not None:
+            return _poly_from_packed(self.arity, bits ^ other._packed)
         return _make_poly(self.arity, self.terms ^ other.terms)
 
     def __mul__(self, other):
@@ -383,7 +390,9 @@ class ZhegalkinPoly(_Value):
             return NotImplemented
         _check_same_arity(self, other)
         n = self.arity
-        pairs = len(self.terms) * len(other.terms)
+        left, right = self._packed, other._packed
+        pairs = ((len(self.terms) if left is None else left.bit_count())
+                 * (len(other.terms) if right is None else right.bit_count()))
         if n > MAX_DENSE_ARITY:
             # no tables: the fold's work and result are bounded by the
             # largest dense table
@@ -394,19 +403,30 @@ class ZhegalkinPoly(_Value):
             return _poly_from_packed(n, _butterfly(bits, n))
         # folded inline: on sparse_symbolic's own f * g operands (120 seed-1
         # inputs, median 42 x 42 terms) a fold function fed by a generator
-        # ran about 1.14x slower
+        # ran about 1.14x slower; `right` saves an attribute read per term
         acc = set()
+        right = other.terms
         for a in self.terms:
-            for b in other.terms:
+            for b in right:
                 m = a | b
                 if m in acc:
                     acc.remove(m)
                 else:
                     acc.add(m)
-        return _make_poly(self.arity, frozenset(acc))
+        return _make_poly(n, frozenset(acc))
 
     def __bool__(self):
-        return bool(self.terms)
+        bits = self._packed
+        return bool(self.terms) if bits is None else bits != 0
+
+    def __getattr__(self, name):
+        # runs only for an unset slot: a vector's term set, derived whole on
+        # its first read and only then stored, so no thread sees part of it
+        if name != "terms":
+            return object.__getattribute__(self, name)  # raises as it would unhooked
+        terms = frozenset(_positions(self._packed))
+        _set_terms(self, terms)
+        return terms
 
     def __repr__(self):
         return f"ZhegalkinPoly({self.arity}, {sorted(self.terms)})"
@@ -434,19 +454,22 @@ def _make_poly(arity: int, terms: frozenset) -> ZhegalkinPoly:
     p = _new(ZhegalkinPoly)
     _set_poly_arity(p, arity)
     _set_terms(p, terms)
+    _set_packed(p, None)
     return p
 
 
 def _poly_from_packed(arity: int, bits: int) -> ZhegalkinPoly:
-    # bits must already fit the 2^arity entries; the polynomial keeps them
-    p = _make_poly(arity, frozenset(_positions(bits)))
+    # bits must already fit the 2^arity entries; the term set waits for
+    # its first read (`ZhegalkinPoly.__getattr__`)
+    p = _new(ZhegalkinPoly)
+    _set_poly_arity(p, arity)
     _set_packed(p, bits)
     return p
 
 
 def _coeffs(p: ZhegalkinPoly) -> int:
     # p.arity <= MAX_DENSE_ARITY: the packed vector it was built from, or a new one
-    bits = getattr(p, "_packed", None)
+    bits = p._packed
     return _pack(p.terms, 1 << p.arity) if bits is None else bits
 
 

@@ -10,7 +10,6 @@ a time via the Boolean partial derivative.
 
 from __future__ import annotations
 
-from math import comb
 from types import MappingProxyType
 
 from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
@@ -43,7 +42,7 @@ class KForm(_Value):
                 )
             if not isinstance(poly, ZhegalkinPoly) or poly.arity != arity:
                 raise ValueError(f"coefficient at {key:#b} must have arity {arity}")
-            if poly.terms:
+            if poly._packed or poly.terms:
                 clean[key] = poly
         _set_arity(self, arity)
         _set_degree(self, degree)
@@ -128,8 +127,8 @@ class KForm(_Value):
         Dense forms at n <= MAX_DENSE_ARITY take the packed route: each
         partial is one shift and one mask of the coefficient's packed
         vector, the partials XOR per output index set, and each output
-        is built from its vector and keeps it.  The size rule `_dense`
-        picks the route; both give the same form.
+        holds only its vector, its terms derived if they are read.  The
+        size rule `_dense` picks the route; both give the same form.
         """
         return _d_packed(self) if _dense(self) else _d_terms(self)
 
@@ -159,44 +158,43 @@ def _dense(w: KForm) -> bool:
     """Whether d of w takes the packed route (the size rule of `KForm.d`).
 
     On a k-form with T terms in all, the term route makes at most (n-k)*T
-    partial terms.  The packed route makes one word-wide partial (a shift
-    and a mask, see `_d_packed`) per coefficient and free index, and
-    crosses between a 2^n-entry vector and a term set once per output
-    (k+1)-set, at most min(C(n, k+1), (n-k) * coefficients) of them, and
-    once more per coefficient that keeps no vector, to pack it.
-    A crossing costs about 2^n term operations, with no overhead, so the
-    packed route is taken when (n-k)*T > (outputs + unkept) * 2^n.
+    partial terms, and derives the term set of each coefficient that holds
+    a vector.  The packed route makes one word-wide partial (a shift and a
+    mask, see `_d_packed`) per coefficient and free index, packs each
+    coefficient that holds only terms, and makes no output crossing: each
+    output holds only its vector.  A crossing costs at most about 2^n term
+    operations, with no overhead, so the packed route is taken when
+    (n-k)*T + vectors * 2^n > unkept * 2^n.  A coefficient whose terms
+    were read already is still charged a derivation: the packed route
+    reads its vector without crossing either way.
 
-    On (n-1)-forms (one output) with n coefficients of t terms each that
-    keep their vectors, the rule takes the packed route from the t in the
-    first row; the packed route measured faster from the t in the second
-    row when the coefficients keep their vectors, and from the third when
-    they are packed first (best of 3 timings of >= 10 ms each, Python
-    3.11, shared 2-core x86-64 host):
+    On (n-1)-forms with n coefficients of t terms each, the packed route
+    measured faster from the t below: from t = 1 when the coefficients
+    hold their vectors (the rule takes it from t = 1), and from the
+    second row when they hold only terms and are packed first (best of 3
+    timings of >= 10 ms each over fresh forms, Python 3.11, shared 2-core
+    x86-64 host):
 
-        n       2  3  4   5   6   7   8   9   10   11   12   13    14    15    16
-        rule    3  3  5   7  11  19  33  57  103  187  342  631  1171  2185  4097
-        kept    4  3  4   3   2   3   5  10   21   33   56  111   177   329   609
-        packed  -  -  -  18  23  33  37  47   77  120  182  418   653  1280  2476
+        n       2  3  4  5   6   7   8   9  10  11  12   13   14   15    16
+        vectors 1  1  1  1   1   1   1   1   1   1   1    1    1    1     1
+        terms   -  -  8  8  10  11  14  17  29  48  91  181  346  638  1345
 
-    (- : the term route won even at t = 2^n.)  So where the vectors are
-    kept the rule is conservative from n = 3 on.  Where they are not, it
-    counts n + 1 crossings, more than n*t ever outweighs, so it keeps the
-    term route and leaves the packed route's lead past the third row
-    unused.  On 0-forms (n outputs) the rule never takes the packed route,
-    which measured faster from about 2^n/5 terms for n >= 9.
+    (- : the term route won even at t = 2^n.)  On terms alone the rule
+    counts n packings, more than n*t ever outweighs, so it keeps the term
+    route and leaves the packed route's lead past the second row unused.
     """
     n, k = w.arity, w.degree
-    if n > MAX_DENSE_ARITY:  # no packed vectors, and C(n, k+1) may be huge
+    if n > MAX_DENSE_ARITY:  # no packed vectors
         return False
     polys = w.coeffs.values()
-    outputs = min(comb(n, k + 1), (n - k) * len(polys))
-    unkept = len([poly for poly in polys if not hasattr(poly, "_packed")])
-    return (n - k) * _term_count(w) > (outputs + unkept) << n
+    unkept = len([poly for poly in polys if poly._packed is None])
+    return (n - k) * _term_count(w) + ((len(polys) - unkept) << n) > unkept << n
 
 
 def _term_count(w: KForm) -> int:
-    return sum([len(poly.terms) for poly in w.coeffs.values()])
+    # a packed vector's term count, without deriving its term set
+    return sum([len(poly.terms) if poly._packed is None else poly._packed.bit_count()
+                for poly in w.coeffs.values()])
 
 
 def _d_terms(w: KForm) -> KForm:
@@ -230,11 +228,14 @@ def _d_packed(w: KForm) -> KForm:
     # the bit moves down 2^i = `bit` positions to m ^ bit, and level mask i
     # keeps exactly those.  The partials XOR into one int per output key.
     n = w.arity
-    levels = _level_masks(n)
     acc = {}
     for key, poly in w.coeffs.items():
         bits = _coeffs(poly)
-        free = ((1 << n) - 1) ^ key
+        # bits fit a 2^width table: no term holds x_(width+1)..x_n, so only
+        # x_1..x_width have partials, read with the masks of that arity
+        width = (bits.bit_length() - 1).bit_length()
+        levels = _level_masks(width)
+        free = ((1 << width) - 1) & ~key
         while free:
             bit = free & -free
             free ^= bit
@@ -268,7 +269,7 @@ _set_coeffs = KForm.coeffs.__set__
 def _accumulate(acc: dict, key: int, poly: ZhegalkinPoly):
     prev = acc.get(key)
     merged = poly if prev is None else prev + poly
-    if merged.terms:
+    if merged._packed or merged.terms:
         acc[key] = merged
     else:
         acc.pop(key, None)

@@ -20,10 +20,12 @@ Conventions, fixed here and relied on by the checker:
 Every monomial is 1 at the all-ones vertex, so g(all-ones) is the parity
 of g's term count.  A monomial is 1 at I iff it lacks x_k, so the terms
 without x_k cancel in g(all-ones) ^ g(I), which is the parity of the
-number of terms holding x_k.  The integrals read these parities; only a
-single face (k, 0) evaluates g, at I.  The boundary integral counts the
-terms holding x_k in one pass over them, dense forms included: it makes
-no output, so a packed route would save no crossing.
+number of terms holding x_k.  The integrals read these parities: from a
+coefficient's packed vector when it holds one, as bit counts (level mask
+k-1 keeps the terms without x_k) with the masks of the narrowest table
+that holds the vector, so a narrow vector at a wide arity costs its
+width; from its terms otherwise, where face (k, 0) evaluates g at I and
+the boundary counts the terms holding x_k in one pass.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import namedtuple
 from itertools import product
 
 from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive,
-                  _poly_from_packed)
+                  _level_masks, _poly_from_packed)
 from .forms import KForm, _make_form
 
 __all__ = [
@@ -54,7 +56,10 @@ def integrate_top(w: KForm) -> int:
     if w.degree != n:
         raise ValueError(f"top integral needs degree {n}, got {w.degree}")
     poly = w.coeffs.get((1 << n) - 1)
-    return 0 if poly is None else len(poly.terms) & 1
+    if poly is None:
+        return 0
+    bits = poly._packed
+    return (len(poly.terms) if bits is None else bits.bit_count()) & 1
 
 
 def integrate_face(w: KForm, face) -> int:
@@ -70,7 +75,13 @@ def integrate_face(w: KForm, face) -> int:
     poly = w.coeffs.get(key)
     if poly is None:
         return 0
-    return len(poly.terms) & 1 if level else poly.evaluate(key)
+    bits = poly._packed
+    if bits is None:
+        return len(poly.terms) & 1 if level else poly.evaluate(key)
+    width = (bits.bit_length() - 1).bit_length()  # bits fit a 2^width table
+    if not level and axis <= width:  # the terms without x_axis
+        bits &= _level_masks(width)[axis - 1]
+    return bits.bit_count() & 1
 
 
 def integrate_boundary(w: KForm) -> int:
@@ -82,6 +93,12 @@ def integrate_boundary(w: KForm) -> int:
     holding = 0
     for key, poly in w.coeffs.items():
         axis = full ^ key
+        bits = poly._packed
+        if bits is not None:
+            width = (bits.bit_length() - 1).bit_length()  # bits fit a 2^width table
+            if axis >> width == 0:  # else no term can hold x_axis
+                holding += (bits & ~_level_masks(width)[axis.bit_length() - 1]).bit_count()
+            continue
         for m in poly.terms:
             if m & axis:
                 holding += 1

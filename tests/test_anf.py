@@ -153,7 +153,7 @@ def test_product_routes_match_schoolbook(n):
 
 def test_product_route_at_its_tie():
     # at n = 5 the rule's tie is 2^5 + 256 = 288 term pairs; the route shows
-    # in the product, which keeps a packed vector only from the tables
+    # in the product, which holds a packed vector only from the tables
     n = 5
     rng = random.Random(288)
     for a, b, tables in ((16, 18, False), (18, 16, False), (17, 17, True)):
@@ -161,7 +161,7 @@ def test_product_route_at_its_tie():
         q = ZhegalkinPoly(n, rng.sample(range(1 << n), b))
         product = p * q
         assert product.terms == schoolbook_product(p, q)
-        assert hasattr(product, "_packed") is tables
+        assert (product._packed is not None) is tables
 
 
 def test_product_term_pair_budget_above_the_dense_arity():
@@ -182,8 +182,8 @@ def test_product_term_pair_budget_above_the_dense_arity():
 
 @pytest.mark.parametrize("n", range(5, 11))
 def test_every_construction_path_packs_its_terms(n):
-    # the builders from a packed vector keep it, the rest keep nothing;
-    # kept or packed anew, it is the packing of the terms
+    # the builders from a packed vector hold it, the rest hold none;
+    # held or packed anew, it is the packing of the terms
     rng = random.Random(60 + n)
     w = 1 << n
     p = ZhegalkinPoly.from_coeff_bits(n, rng.getrandbits(w) | 1)
@@ -193,13 +193,15 @@ def test_every_construction_path_packs_its_terms(n):
                              for i in range(n)})
     built = [
         (dense.d().coeffs[top], True),  # the packed route of d
-        (KForm.from_poly(p).d().coeffs[1], False),  # its term route
+        (KForm.from_poly(p).d().coeffs[1], True),  # p's vector: the packed route
+        (KForm.from_poly(ZhegalkinPoly(n, [3])).d().coeffs[1], False),  # the term route
         (p, True),
         (ZhegalkinPoly.from_truth_table(TruthTable(n, rng.getrandbits(w))), True),
         (full * p, True),  # |full| * |p| > 2^n + 256: the table route
         (ZhegalkinPoly(n, range(w)) * ZhegalkinPoly(n, p.terms), True),
         (ZhegalkinPoly.variable(n, 1) * p, False),  # the term-pair fold
-        (p + full, False),
+        (p + full, True),  # both operands hold vectors: their XOR
+        (p + ZhegalkinPoly(n, full.terms), False),
         (p.partial(1), False),
         (p.restrict(2, 1), False),
         (ZhegalkinPoly(n, p.terms), False),
@@ -208,7 +210,37 @@ def test_every_construction_path_packs_its_terms(n):
         entries = [int(m in q.terms) for m in range(w)]
         assert q.coeff_bits() == pack_bits(entries)
         assert q.to_truth_table().bits == pack_bits(slow_mobius(entries))
-        assert hasattr(q, "_packed") is keeps  # reading stored nothing
+        assert (q._packed is not None) is keeps  # reading stored nothing
+
+
+def test_vector_builders_derive_the_term_set_on_first_read():
+    # a polynomial built from a packed vector holds no term set until
+    # `.terms` is read; the first read stores it, and later reads return
+    # that same set
+    n = 6
+    rng = random.Random(66)
+    w = 1 << n
+    full = (1 << w) - 1
+    top = (1 << n) - 1
+    builders = [
+        lambda: ZhegalkinPoly.from_coeff_bits(n, rng.getrandbits(w) | 1),
+        lambda: ZhegalkinPoly.from_truth_table(TruthTable(n, rng.getrandbits(w) | 1)),
+        lambda: ZhegalkinPoly.from_coeff_bits(n, full) * ZhegalkinPoly.from_coeff_bits(n, full),
+        lambda: ZhegalkinPoly.from_coeff_bits(n, 3) + ZhegalkinPoly.from_coeff_bits(n, 5),
+        lambda: KForm(n, n - 1, {top ^ 1: ZhegalkinPoly.from_coeff_bits(n, full)}).d().coeffs[top],
+    ]
+    for build in builders:
+        p = build()
+        bits = p._packed
+        assert bits is not None
+        with pytest.raises(AttributeError):
+            ZhegalkinPoly.terms.__get__(p)  # the slot itself is unset
+        terms = p.terms
+        assert terms == frozenset(bit_positions(bits, w))
+        assert p.terms is terms and ZhegalkinPoly.terms.__get__(p) is terms
+        assert p == ZhegalkinPoly(n, terms) and p._packed == bits
+    with pytest.raises(AttributeError, match="has no attribute 'other'"):
+        ZhegalkinPoly.from_coeff_bits(n, 1).other
 
 
 def test_evaluate():
@@ -600,7 +632,7 @@ def test_poly_hash_and_equality():
     for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
         c = round_trip(kept)
         assert c == plain and hash(c) == hash(plain) and repr(c) == repr(plain)
-        assert not hasattr(c, "_packed")
+        assert c._packed is None
     for p in (kept, plain):
         with pytest.raises(AttributeError):
             p._packed = 0

@@ -7,6 +7,7 @@ from itertools import islice, product
 import pytest
 
 from zhegalkin import KForm, ZhegalkinPoly, differential
+from zhegalkin.anf import _level_masks
 from zhegalkin.forms import _d_packed, _d_terms, _dense
 
 from helpers import (bit_positions, d_by_cofactors, masks_of_size, pack_bits, random_form,
@@ -250,11 +251,13 @@ def test_d_matches_cofactor_oracle_on_both_routes():
         for k in sorted({0, 1, n - 2, n - 1} if n <= 10 else {0, n - 1}):
             for kept in (True, False):
                 w = _dense_form(rng, n, k, kept)
-                # about (k+1)/2 times the rule's bound for n - k partials of
-                # half-full kept coefficients, one crossing per (k+1)-set;
-                # packing each coefficient first tips every case to terms
-                if not (kept and k == 1):
-                    assert _dense(w) == (kept and k > 1)
+                # the term route would derive every held vector, so kept
+                # forms take the packed route; an unkept coefficient weighs
+                # n - k partials of about 2^(n-1) terms against one packing
+                # of 2^n entries, so unkept forms take it from n - k = 3
+                # (n - k = 2 is the tie, where the draw decides)
+                if kept or n - k != 2:
+                    assert _dense(w) == (kept or n - k > 2)
                 dw = w.d()
                 assert dw == d_by_cofactors(w)
                 if n <= 8:
@@ -290,36 +293,47 @@ def test_d_packs_no_coefficient_for_the_packed_route():
 
 
 def test_d_route_at_the_rule_tie():
-    # at the tie (n-k) * terms == (outputs + unkept) * 2^n, d takes the term
-    # route, and one term more takes the packed route; the route shows in
-    # the result, whose outputs keep a packed vector only from that route
+    # at the tie (n-k) * terms + kept * 2^n == unkept * 2^n, d takes the
+    # term route, and one term more takes the packed route; the route shows
+    # in the result, whose outputs hold a packed vector only from that route
     rng = random.Random(16)
-    # a kept 3-form at n = 4: one output, 16 terms in all at the tie;
-    # an unkept 1-form at n = 5: min(10, 4 * 4) outputs and 4 unkept
-    # coefficients, 112 terms in all at the tie
-    for n, k, kept, tie in ((4, 3, True, [4, 4, 4, 4]), (5, 1, False, [28, 28, 28, 28])):
-        for sizes, packed in ((tie, False), ([tie[0] + 1, *tie[1:]], True)):
+    # an unkept 1-form at n = 5: 4 * 32 terms against 4 packings of 32;
+    # a 3-form at n = 4 holding one vector: 32 + 16 against 3 * 16
+    for n, k, holds in ((5, 1, [False] * 4), (4, 3, [True, False, False, False])):
+        tie = [8, 8, 8, 8]
+        for sizes, packed in ((tie, False), ([9, 8, 8, 8], True)):
             coeffs = {}
-            for key, size in zip(masks_of_size(n, k), sizes):
+            for key, size, vector in zip(masks_of_size(n, k), sizes, holds):
                 terms = rng.sample(range(1 << n), size)
                 coeffs[key] = (ZhegalkinPoly.from_coeff_bits(n, sum(1 << m for m in terms))
-                               if kept else ZhegalkinPoly(n, terms))
+                               if vector else ZhegalkinPoly(n, terms))
             w = KForm(n, k, coeffs)
             dw = w.d()
             assert dw == d_by_cofactors(w)
-            assert dw.coeffs and all(hasattr(p, "_packed") is packed for p in dw.coeffs.values())
+            assert dw.coeffs and all((p._packed is not None) is packed for p in dw.coeffs.values())
 
 
-def test_d_of_one_term_at_the_dense_arity_takes_the_term_route():
-    # the coefficient keeps a 2^24-bit vector, but a single term is sparse
+def test_d_of_one_term_at_the_dense_arity_takes_the_packed_route():
+    # the coefficient holds the vector of a 2^24-entry table, but its one
+    # term lies in the vector's low 6 bits: the packed route reads the
+    # level masks of that width (arity 3), never the 2^24-bit masks
     n = 24
     poly = ZhegalkinPoly.from_coeff_bits(n, 1 << 5)  # x1*x3
     for w in (KForm.from_poly(poly), KForm.term(poly, range(2, 25))):
-        assert not _dense(w)
+        assert _dense(w)
+        _level_masks.cache_clear()  # masks it reads are built inside the bounds
         start = time.perf_counter()
         dw = w.d()
         assert time.perf_counter() - start < 0.05
         assert dw == _d_terms(w)
+        _level_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            w.d()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # arity 24's masks would take 48 MiB
 
 
 def test_d_is_additive():

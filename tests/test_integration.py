@@ -22,7 +22,8 @@ from zhegalkin import (
 from zhegalkin.anf import _level_masks
 from zhegalkin.integration import _slot_masks, _sweep_forms
 
-from helpers import all_polys, face_sum, masks_of_size, random_form, random_poly
+from helpers import (all_polys, bit_positions, face_sum, masks_of_size, random_form,
+                     random_poly)
 
 
 def test_integrate_top_examples():
@@ -108,6 +109,41 @@ def test_boundary_of_one_term_at_the_dense_arity_costs_its_term():
     start = time.perf_counter()
     assert integrate_boundary(w) == 1
     assert time.perf_counter() - start < 0.05
+
+
+def _slot_form(n, vectors, held):
+    # the (n-1)-form with these slot vectors, each coefficient built fresh,
+    # holding only its vector or only its term set
+    return KForm(n, n - 1, {
+        slot: (ZhegalkinPoly.from_coeff_bits(n, bits) if held
+               else ZhegalkinPoly(n, bit_positions(bits, 1 << n)))
+        for slot, bits in vectors.items() if bits})
+
+
+def test_integrals_agree_from_either_store():
+    # every integral reads a coefficient's vector when it holds one and its
+    # terms otherwise; both must give the same value, on random forms and on
+    # the n * 2^n basis forms x^m d{I} (the integrals are F2-linear)
+    rng = random.Random(29)
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        slots = [full ^ (1 << i) for i in range(n)]
+        cases = [{slot: rng.getrandbits(1 << n) for slot in slots} for _ in range(40)]
+        cases += [{slot: 1 << m} for slot in slots for m in range(1 << n)]
+        for vectors in cases:
+            values = {}
+            for held in (True, False):
+                got = [integrate_top(_slot_form(n, vectors, held).d()),
+                       integrate_boundary(_slot_form(n, vectors, held))]
+                got += [integrate_face(_slot_form(n, vectors, held), (axis, level))
+                        for axis in range(1, n + 1) for level in (0, 1)]
+                got += [integrate_top(KForm(n, n, {full: poly}))
+                        for poly in _slot_form(n, vectors, held).coeffs.values()]
+                values[held] = got
+            assert values[True] == values[False]
+            w = _slot_form(n, vectors, False)
+            assert values[True][2:2 + 2 * n] == [face_sum(w, axis, level) for axis in range(1, n + 1)
+                                                for level in (0, 1)]
 
 
 def test_integrate_boundary_examples():
@@ -303,6 +339,45 @@ def test_sweep_summary_counterexample_line():
     assert not summary.passed and SweepSummary(checked=7, failed=0).passed
     report = StokesReport(lhs=0, rhs=0, passed=True, form=KForm.zero(2, 1))
     assert str(report) == "lhs=0 rhs=0 pass=true form=0"
+
+
+def test_first_reads_of_a_term_set_are_safe_to_share_between_threads():
+    # 8 threads read `.terms` of the same polynomials, which hold only their
+    # packed vectors: the barrier's action builds fresh ones for each round,
+    # so every round races on the first read, which must give the serial set
+    rng = random.Random(23)
+    vectors = [(n, rng.getrandbits(1 << n)) for n in range(1, 11) for _ in range(4)]
+    serial = [frozenset(bit_positions(bits, 1 << n)) for n, bits in vectors]
+    fresh = []
+
+    def rebuild():
+        fresh[:] = [ZhegalkinPoly.from_coeff_bits(n, bits) for n, bits in vectors]
+
+    rounds = 20
+    results = [[] for _ in range(8)]
+    start = threading.Barrier(len(results), action=rebuild)
+
+    def run(i):
+        try:
+            for _ in range(rounds):
+                start.wait()
+                results[i].append([p.terms for p in fresh])
+        except BaseException:
+            start.abort()
+            raise
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial] * rounds] * len(results)
 
 
 def test_values_are_safe_to_share_between_threads():
