@@ -24,10 +24,13 @@ in the table size: `_positions` (packed int to ascending positions) and
 `from_coeff_bits`, `from_truth_table`, the table route of `*`, `+` of two
 vectors or the packed route of `KForm.d` stores only its arity and that
 vector, its canonical store; its term set is derived whole on the first
-read of `.terms` and stored once.  `coeff_bits`, `to_truth_table`, `*`,
-`+`, `d` and the integrals read the vector, counts and zero tests
-included, without crossing.  Any other polynomial stores its term set
-and `_packed = None`.  Packed tables are walked per entry.  `str` peels
+read of `.terms` and stored once.  Any other polynomial stores its term
+set and `_packed = None`.  Only this module reads the store, apart from
+`d`'s packed route in `forms`.  `coeff_bits`, `to_truth_table`, `*` and
+`+` read the vector without crossing, and outside `d` two readers give
+every count from either store: `len(p)`, the term count (so a truth test
+is a zero test), and `_holding(p, bit)`, the number of terms that hold
+one variable.  Packed tables are walked per entry.  `str` peels
 a monomial one set bit at a time (`m & -m`), and each peel is an int
 operation as wide as the mask, so a term costs its factors times its
 width; `indices_from_mask` walks a mask's bytes once.
@@ -217,6 +220,11 @@ def _level_masks(arity: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _table_arity(bits: int) -> int:
+    """The arity of the narrowest table that holds a packed vector."""
+    return (bits.bit_length() - 1).bit_length()
+
+
 def mobius_transform(bits: int, arity: int) -> int:
     """Binary Mobius transform of a packed 2^arity-entry bit table.
 
@@ -390,14 +398,11 @@ class ZhegalkinPoly(_Value):
             return NotImplemented
         _check_same_arity(self, other)
         n = self.arity
-        left, right = self._packed, other._packed
-        pairs = ((len(self.terms) if left is None else left.bit_count())
-                 * (len(other.terms) if right is None else right.bit_count()))
         if n > MAX_DENSE_ARITY:
             # no tables: the fold's work and result are bounded by the
             # largest dense table
-            _check_pair_budget("product", len(self.terms), len(other.terms), "term")
-        elif pairs > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
+            _check_pair_budget("product", len(self), len(other), "term")
+        elif len(self) * len(other) > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
             # the product is the pointwise AND of the two truth tables
             bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
             return _poly_from_packed(n, _butterfly(bits, n))
@@ -415,9 +420,10 @@ class ZhegalkinPoly(_Value):
                     acc.add(m)
         return _make_poly(n, frozenset(acc))
 
-    def __bool__(self):
+    def __len__(self):
+        # the term count of either store: a vector's set is not derived
         bits = self._packed
-        return bool(self.terms) if bits is None else bits != 0
+        return len(self.terms) if bits is None else bits.bit_count()
 
     def __getattr__(self, name):
         # runs only for an unset slot: a vector's term set, derived whole on
@@ -471,6 +477,19 @@ def _coeffs(p: ZhegalkinPoly) -> int:
     # p.arity <= MAX_DENSE_ARITY: the packed vector it was built from, or a new one
     bits = p._packed
     return _pack(p.terms, 1 << p.arity) if bits is None else bits
+
+
+def _holding(p: ZhegalkinPoly, bit: int) -> int:
+    # how many of p's terms hold the variable with mask `bit`: the vector's
+    # entries outside that variable's level mask, taken at the vector's own
+    # table arity so a narrow vector costs its width, or one term-set pass
+    bits = p._packed
+    if bits is None:
+        return len([m for m in p.terms if m & bit])
+    width = _table_arity(bits)
+    if bit >> width:  # no entry of a 2^width table holds the variable
+        return 0
+    return (bits & ~_level_masks(width)[bit.bit_length() - 1]).bit_count()
 
 
 _new = object.__new__

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
                   _check_same_arity, _coeffs, _level_masks, _make_poly, _new,
-                  _poly_from_packed, _Value, indices_from_mask, mask_from_indices)
+                  _poly_from_packed, _table_arity, _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
 
@@ -42,7 +42,7 @@ class KForm(_Value):
                 )
             if not isinstance(poly, ZhegalkinPoly) or poly.arity != arity:
                 raise ValueError(f"coefficient at {key:#b} must have arity {arity}")
-            if poly._packed or poly.terms:
+            if poly:
                 clean[key] = poly
         _set_arity(self, arity)
         _set_degree(self, degree)
@@ -192,9 +192,7 @@ def _dense(w: KForm) -> bool:
 
 
 def _term_count(w: KForm) -> int:
-    # a packed vector's term count, without deriving its term set
-    return sum([len(poly.terms) if poly._packed is None else poly._packed.bit_count()
-                for poly in w.coeffs.values()])
+    return sum(map(len, w.coeffs.values()))
 
 
 def _d_terms(w: KForm) -> KForm:
@@ -233,7 +231,7 @@ def _d_packed(w: KForm) -> KForm:
         bits = _coeffs(poly)
         # bits fit a 2^width table: no term holds x_(width+1)..x_n, so only
         # x_1..x_width have partials, read with the masks of that arity
-        width = (bits.bit_length() - 1).bit_length()
+        width = _table_arity(bits)
         levels = _level_masks(width)
         free = ((1 << width) - 1) & ~key
         while free:
@@ -269,7 +267,7 @@ _set_coeffs = KForm.coeffs.__set__
 def _accumulate(acc: dict, key: int, poly: ZhegalkinPoly):
     prev = acc.get(key)
     merged = poly if prev is None else prev + poly
-    if merged._packed or merged.terms:
+    if merged:
         acc[key] = merged
     else:
         acc.pop(key, None)

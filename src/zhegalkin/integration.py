@@ -18,14 +18,11 @@ Conventions, fixed here and relied on by the checker:
   I = 0 and each face is a single vertex: plain evaluation.
 
 Every monomial is 1 at the all-ones vertex, so g(all-ones) is the parity
-of g's term count.  A monomial is 1 at I iff it lacks x_k, so the terms
-without x_k cancel in g(all-ones) ^ g(I), which is the parity of the
-number of terms holding x_k.  The integrals read these parities: from a
-coefficient's packed vector when it holds one, as bit counts (level mask
-k-1 keeps the terms without x_k) with the masks of the narrowest table
-that holds the vector, so a narrow vector at a wide arity costs its
-width; from its terms otherwise, where face (k, 0) evaluates g at I and
-the boundary counts the terms holding x_k in one pass.
+of g's term count, `len(g)`.  A monomial is 1 at I iff it lacks x_k, so
+g(I) is the parity of `len(g)` less the number of terms holding x_k,
+`anf._holding(g, bit k)`, and g(all-ones) ^ g(I) is the parity of that
+number alone.  The integrals read only these two counts, and each reads
+either store of g, a packed vector without deriving its term set.
 """
 
 from __future__ import annotations
@@ -34,8 +31,8 @@ import random
 from collections import namedtuple
 from itertools import product
 
-from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive,
-                  _level_masks, _poly_from_packed)
+from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive, _holding,
+                  _poly_from_packed)
 from .forms import KForm, _make_form
 
 __all__ = [
@@ -56,10 +53,7 @@ def integrate_top(w: KForm) -> int:
     if w.degree != n:
         raise ValueError(f"top integral needs degree {n}, got {w.degree}")
     poly = w.coeffs.get((1 << n) - 1)
-    if poly is None:
-        return 0
-    bits = poly._packed
-    return (len(poly.terms) if bits is None else bits.bit_count()) & 1
+    return 0 if poly is None else len(poly) & 1
 
 
 def integrate_face(w: KForm, face) -> int:
@@ -75,13 +69,10 @@ def integrate_face(w: KForm, face) -> int:
     poly = w.coeffs.get(key)
     if poly is None:
         return 0
-    bits = poly._packed
-    if bits is None:
-        return len(poly.terms) & 1 if level else poly.evaluate(key)
-    width = (bits.bit_length() - 1).bit_length()  # bits fit a 2^width table
-    if not level and axis <= width:  # the terms without x_axis
-        bits &= _level_masks(width)[axis - 1]
-    return bits.bit_count() & 1
+    count = len(poly)
+    if not level:  # the terms without x_axis
+        count -= _holding(poly, 1 << (axis - 1))
+    return count & 1
 
 
 def integrate_boundary(w: KForm) -> int:
@@ -90,19 +81,7 @@ def integrate_boundary(w: KForm) -> int:
     if w.degree != n - 1:
         raise ValueError(f"boundary integral needs degree {n - 1}, got {w.degree}")
     full = (1 << n) - 1
-    holding = 0
-    for key, poly in w.coeffs.items():
-        axis = full ^ key
-        bits = poly._packed
-        if bits is not None:
-            width = (bits.bit_length() - 1).bit_length()  # bits fit a 2^width table
-            if axis >> width == 0:  # else no term can hold x_axis
-                holding += (bits & ~_level_masks(width)[axis.bit_length() - 1]).bit_count()
-            continue
-        for m in poly.terms:
-            if m & axis:
-                holding += 1
-    return holding & 1
+    return sum([_holding(poly, full ^ key) for key, poly in w.coeffs.items()]) & 1
 
 
 class StokesReport(namedtuple("StokesReport", "lhs rhs passed form")):

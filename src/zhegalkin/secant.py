@@ -44,7 +44,7 @@ class SecantElement(_Value):
         """Act on a polynomial: sum_i f_i * (partial of g in x_i)."""
         _check_same_arity(self, g)
         slots = enumerate(self.coeffs, start=1)
-        return _sum(self.arity, (f * g.partial(i) for i, f in slots if f._packed or f.terms))
+        return _sum(self.arity, (f * g.partial(i) for i, f in slots if f))
 
     def __add__(self, other):
         if not isinstance(other, SecantElement):
@@ -58,9 +58,7 @@ class SecantElement(_Value):
         return f"<SecantElement n={self.arity}: {self}>"
 
     def __str__(self):
-        parts = [
-            f"({f})*D{i}" for i, f in enumerate(self.coeffs, start=1) if f._packed or f.terms
-        ]
+        parts = [f"({f})*D{i}" for i, f in enumerate(self.coeffs, start=1) if f]
         return " + ".join(parts) if parts else "0"
 
 
@@ -83,4 +81,4 @@ def pair(omega: KForm, phi: SecantElement) -> ZhegalkinPoly:
         raise ValueError(f"pairing requires a 1-form, got degree {omega.degree}")
     _check_same_arity(omega, phi)
     slots = ((omega.coeffs.get(1 << (i - 1)), f) for i, f in enumerate(phi.coeffs, start=1))
-    return _sum(omega.arity, (g * f for g, f in slots if g is not None and (f._packed or f.terms)))
+    return _sum(omega.arity, (g * f for g, f in slots if g is not None and f))

@@ -207,6 +207,7 @@ def test_every_construction_path_packs_its_terms(n):
         (ZhegalkinPoly(n, p.terms), False),
     ]
     for q, keeps in built:
+        assert len(q) == len(q.terms)
         entries = [int(m in q.terms) for m in range(w)]
         assert q.coeff_bits() == pack_bits(entries)
         assert q.to_truth_table().bits == pack_bits(slow_mobius(entries))
@@ -216,7 +217,7 @@ def test_every_construction_path_packs_its_terms(n):
 def test_vector_builders_derive_the_term_set_on_first_read():
     # a polynomial built from a packed vector holds no term set until
     # `.terms` is read; the first read stores it, and later reads return
-    # that same set
+    # that same set.  `len` and truth read the vector and store nothing
     n = 6
     rng = random.Random(66)
     w = 1 << n
@@ -227,16 +228,18 @@ def test_vector_builders_derive_the_term_set_on_first_read():
         lambda: ZhegalkinPoly.from_truth_table(TruthTable(n, rng.getrandbits(w) | 1)),
         lambda: ZhegalkinPoly.from_coeff_bits(n, full) * ZhegalkinPoly.from_coeff_bits(n, full),
         lambda: ZhegalkinPoly.from_coeff_bits(n, 3) + ZhegalkinPoly.from_coeff_bits(n, 5),
+        lambda: ZhegalkinPoly.from_coeff_bits(n, 3) + ZhegalkinPoly.from_coeff_bits(n, 3),
         lambda: KForm(n, n - 1, {top ^ 1: ZhegalkinPoly.from_coeff_bits(n, full)}).d().coeffs[top],
     ]
     for build in builders:
         p = build()
         bits = p._packed
         assert bits is not None
+        assert len(p) == bits.bit_count() and bool(p) is (bits != 0)
         with pytest.raises(AttributeError):
             ZhegalkinPoly.terms.__get__(p)  # the slot itself is unset
         terms = p.terms
-        assert terms == frozenset(bit_positions(bits, w))
+        assert terms == frozenset(bit_positions(bits, w)) and len(p) == len(terms)
         assert p.terms is terms and ZhegalkinPoly.terms.__get__(p) is terms
         assert p == ZhegalkinPoly(n, terms) and p._packed == bits
     with pytest.raises(AttributeError, match="has no attribute 'other'"):

@@ -4,7 +4,10 @@ with the 3.10 grammar.  This catches syntax new in 3.11 or later, not
 library calls that 3.10 lacks.
 
 No package or tool module imports a name it never reads, so a helper that
-is deleted cannot leave its import behind."""
+is deleted cannot leave its import behind.
+
+Only `anf` knows how a polynomial is stored: no other package module reads
+its `_packed` vector, apart from the packed route of `d` in `forms`."""
 
 import ast
 from pathlib import Path
@@ -65,3 +68,15 @@ MODULES = [path for path in FILES if path.parent in (ROOT / "src" / "zhegalkin",
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def reads_the_packed_store(path):
+    return any(isinstance(node, ast.Attribute) and node.attr == "_packed"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_only_anf_and_forms_read_the_packed_store():
+    package = [path for path in MODULES if path.parent == ROOT / "src" / "zhegalkin"]
+    readers = [path.name for path in package if reads_the_packed_store(path)]
+    assert "anf.py" in readers
+    assert [name for name in readers if name not in ("anf.py", "forms.py")] == []
