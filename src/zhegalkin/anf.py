@@ -26,14 +26,15 @@ vectors or the packed route of `KForm.d` stores only its arity and that
 vector, its canonical store; its term set is derived whole on the first
 read of `.terms` and stored once.  Any other polynomial stores its term
 set and `_packed = None`.  Only this module reads the store, apart from
-`d`'s packed route in `forms`.  `coeff_bits`, `to_truth_table`, `*` and
-`+` read the vector without crossing, and outside `d` two readers give
+`d`'s size rule in `forms`.  `coeff_bits`, `to_truth_table`, `*`, `+`
+and `d`'s packed route read the vector without crossing, the last through
+`_packed_partial`, the Boolean partial of a vector.  Two readers give
 every count from either store: `len(p)`, the term count (so a truth test
 is a zero test), and `_holding(p, bit)`, the number of terms that hold
-one variable.  Packed tables are walked per entry.  `str` peels
-a monomial one set bit at a time (`m & -m`), and each peel is an int
-operation as wide as the mask, so a term costs its factors times its
-width; `indices_from_mask` walks a mask's bytes once.
+one variable, a partial's count on a vector.  Packed tables are walked
+per entry.  `str` peels a monomial one set bit at a time (`m & -m`), and
+each peel is an int operation as wide as the mask, so a term costs its
+factors times its width; `indices_from_mask` walks a mask's bytes once.
 
 Routes: `*` and `KForm.d` each have a route over term sets and one over
 packed vectors, and each picks by its own size rule, written where it is
@@ -69,7 +70,8 @@ __all__ = [
     "mobius_transform",
 ]
 
-# Dense (bit-packed) truth tables are capped here; 2^24 entries = 2 MiB.
+# Dense (bit-packed) truth tables are capped here; 2^24 entries = 2 MiB.  The
+# cached level masks at the cap are 24 such tables, held for the process.
 MAX_DENSE_ARITY = 24
 
 # Fixed cost of a product through the tables, in term pairs: two operand
@@ -218,11 +220,6 @@ def _level_masks(arity: int) -> tuple[int, ...]:
             span <<= 1
         masks.append(m)
     return tuple(masks)
-
-
-def _table_arity(bits: int) -> int:
-    """The arity of the narrowest table that holds a packed vector."""
-    return (bits.bit_length() - 1).bit_length()
 
 
 def mobius_transform(bits: int, arity: int) -> int:
@@ -480,16 +477,23 @@ def _coeffs(p: ZhegalkinPoly) -> int:
 
 
 def _holding(p: ZhegalkinPoly, bit: int) -> int:
-    # how many of p's terms hold the variable with mask `bit`: the vector's
-    # entries outside that variable's level mask, taken at the vector's own
-    # table arity so a narrow vector costs its width, or one term-set pass
+    # how many of p's terms hold the variable with mask `bit`: the terms of
+    # its partial in that variable, or one term-set pass
     bits = p._packed
-    if bits is None:
-        return len([m for m in p.terms if m & bit])
-    width = _table_arity(bits)
-    if bit >> width:  # no entry of a 2^width table holds the variable
+    return (len([m for m in p.terms if m & bit]) if bits is None
+            else _packed_partial(bits, bit).bit_count())
+
+
+def _packed_partial(bits: int, bit: int) -> int:
+    # the Boolean partial of a packed coefficient vector in the variable with
+    # mask `bit` (= 1 << i): monomial m holding the bit moves down `bit`
+    # places to m ^ bit, and level mask i keeps exactly those.  The masks are
+    # those of the narrowest table that holds the vector, so a narrow vector
+    # at a wide arity costs its width; a variable past that table has none.
+    width = (bits.bit_length() - 1).bit_length()
+    if bit >> width:
         return 0
-    return (bits & ~_level_masks(width)[bit.bit_length() - 1]).bit_count()
+    return (bits >> bit) & _level_masks(width)[bit.bit_length() - 1]
 
 
 _new = object.__new__

@@ -13,8 +13,8 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
-                  _check_same_arity, _coeffs, _level_masks, _make_poly, _new,
-                  _poly_from_packed, _table_arity, _Value, indices_from_mask, mask_from_indices)
+                  _check_same_arity, _coeffs, _make_poly, _new, _packed_partial,
+                  _poly_from_packed, _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
 
@@ -59,19 +59,26 @@ class KForm(_Value):
 
     @classmethod
     def term(cls, poly: ZhegalkinPoly, indices) -> "KForm":
-        """Single-term form: poly times the basis element for `indices`."""
+        """Single-term form: poly times the basis element for `indices`.  A
+        repeated index annihilates, as in `wedge`, to the zero form."""
+        indices = list(indices)
         mask = mask_from_indices(indices, poly.arity)
-        return cls(poly.arity, mask.bit_count(), {mask: poly})
+        size = len(indices)
+        return cls(poly.arity, min(size, poly.arity),
+                   {mask: poly} if mask.bit_count() == size else {})
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def coefficient(self, key) -> ZhegalkinPoly:
-        """Coefficient at an index set (mask or iterable of 1-based indices)."""
-        if not isinstance(key, int) or isinstance(key, bool):
-            key = mask_from_indices(key, self.arity)
-        if key < 0 or key >> self.arity or key.bit_count() != self.degree:
+        """Coefficient at an index set: a mask (not a bool) or distinct 1-based indices."""
+        if not isinstance(key, int):
+            indices = list(key)
+            key = mask_from_indices(indices, self.arity)
+            if key.bit_count() != len(indices):  # a repeated index
+                key = -1
+        if isinstance(key, bool) or key < 0 or key >> self.arity or key.bit_count() != self.degree:
             raise ValueError(f"invalid index set for a degree-{self.degree} form")
         got = self.coeffs.get(key)
         return got if got is not None else ZhegalkinPoly.zero(self.arity)
@@ -159,10 +166,10 @@ def _dense(w: KForm) -> bool:
 
     On a k-form with T terms in all, the term route makes at most (n-k)*T
     partial terms, and derives the term set of each coefficient that holds
-    a vector.  The packed route makes one word-wide partial (a shift and a
-    mask, see `_d_packed`) per coefficient and free index, packs each
-    coefficient that holds only terms, and makes no output crossing: each
-    output holds only its vector.  A crossing costs at most about 2^n term
+    a vector.  The packed route makes one word-wide partial (a shift and
+    a mask, `anf._packed_partial`) per coefficient and free index, packs
+    each coefficient that holds only terms, and makes no output crossing:
+    each output holds only its vector.  A crossing costs at most about 2^n term
     operations, with no overhead, so the packed route is taken when
     (n-k)*T + vectors * 2^n > unkept * 2^n.  A coefficient whose terms
     were read already is still charged a derivation: the packed route
@@ -221,24 +228,19 @@ def _d_terms(w: KForm) -> KForm:
 
 
 def _d_packed(w: KForm) -> KForm:
-    # w.arity <= MAX_DENSE_ARITY.  The partial in the variable with mask
-    # `bit` (= 1 << i) of a packed coefficient vector: monomial m holding
-    # the bit moves down 2^i = `bit` positions to m ^ bit, and level mask i
-    # keeps exactly those.  The partials XOR into one int per output key.
+    # w.arity <= MAX_DENSE_ARITY.  Each coefficient's packed partials
+    # (`anf._packed_partial`) XOR into one int per output key.
     n = w.arity
+    full = (1 << n) - 1
     acc = {}
     for key, poly in w.coeffs.items():
         bits = _coeffs(poly)
-        # bits fit a 2^width table: no term holds x_(width+1)..x_n, so only
-        # x_1..x_width have partials, read with the masks of that arity
-        width = _table_arity(bits)
-        levels = _level_masks(width)
-        free = ((1 << width) - 1) & ~key
+        free = full ^ key
         while free:
             bit = free & -free
             free ^= bit
             out = key | bit
-            acc[out] = acc.get(out, 0) ^ (bits >> bit) & levels[bit.bit_length() - 1]
+            acc[out] = acc.get(out, 0) ^ _packed_partial(bits, bit)
     return _make_form(n, min(w.degree + 1, n), {
         out: _poly_from_packed(n, bits) for out, bits in acc.items() if bits
     })

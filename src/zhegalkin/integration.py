@@ -50,8 +50,7 @@ def integrate_top(w: KForm) -> int:
     """Integral of an n-form over the whole cube: its coefficient at the
     all-ones vertex."""
     n = w.arity
-    if w.degree != n:
-        raise ValueError(f"top integral needs degree {n}, got {w.degree}")
+    _check_form_degree(w, n, "top integral")
     poly = w.coeffs.get((1 << n) - 1)
     return 0 if poly is None else len(poly) & 1
 
@@ -60,28 +59,31 @@ def integrate_face(w: KForm, face) -> int:
     """Integral of an (n-1)-form over one face: the pair (axis, level),
     the half of the cube with coordinate `axis` (1-based) equal to `level`."""
     n = w.arity
-    if w.degree != n - 1:
-        raise ValueError(f"face integral needs degree {n - 1}, got {w.degree}")
+    _check_form_degree(w, n - 1, "face integral")
     axis, level = face
     _check_index(axis, n)
     _check_bit(level, "face level")
-    key = ((1 << n) - 1) ^ (1 << (axis - 1))
-    poly = w.coeffs.get(key)
+    bit = 1 << (axis - 1)
+    poly = w.coeffs.get(((1 << n) - 1) ^ bit)
     if poly is None:
         return 0
     count = len(poly)
     if not level:  # the terms without x_axis
-        count -= _holding(poly, 1 << (axis - 1))
+        count -= _holding(poly, bit)
     return count & 1
 
 
 def integrate_boundary(w: KForm) -> int:
     """Integral of an (n-1)-form over the boundary: XOR over all 2n faces."""
     n = w.arity
-    if w.degree != n - 1:
-        raise ValueError(f"boundary integral needs degree {n - 1}, got {w.degree}")
+    _check_form_degree(w, n - 1, "boundary integral")
     full = (1 << n) - 1
     return sum([_holding(poly, full ^ key) for key, poly in w.coeffs.items()]) & 1
+
+
+def _check_form_degree(w: KForm, degree: int, what: str):
+    if w.degree != degree:
+        raise ValueError(f"{what} needs degree {degree}, got {w.degree}")
 
 
 class StokesReport(namedtuple("StokesReport", "lhs rhs passed form")):
@@ -151,25 +153,15 @@ def stokes_sweep(
         # each draw is a 2^n-bit vector per slot: refuse before drawing
         _check_dense_arity(arity)
 
-    slots = _slot_masks(arity)
-    checked = 0
-    failed = 0
-    first_index = None
-    first_report = None
-    for index, form in enumerate(_sweep_forms(arity, slots, exhaustive, count, seed)):
+    checked = failed = 0
+    first = ()  # the first failure's index and report
+    for index, form in enumerate(_sweep_forms(arity, _slot_masks(arity), exhaustive, count, seed)):
         report = stokes_check(form)
         checked += 1
         if not report.passed:
             failed += 1
-            if first_report is None:
-                first_index = index
-                first_report = report
-    return SweepSummary(
-        checked=checked,
-        failed=failed,
-        counterexample_index=first_index,
-        counterexample=first_report,
-    )
+            first = first or (index, report)
+    return SweepSummary(checked, failed, *first)
 
 
 def _sweep_forms(arity, slots, exhaustive, count, seed):

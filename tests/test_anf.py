@@ -21,6 +21,7 @@ from zhegalkin import (
     mobius_transform,
     parse_expr,
 )
+from zhegalkin import anf
 from zhegalkin.anf import _DENSE_PRODUCT_OVERHEAD, _level_masks
 
 from helpers import (
@@ -484,6 +485,27 @@ def test_butterfly_is_an_involution_at_every_dense_arity():
             assert shifted >> width == 0 and shifted & mi == 0
             for j, mj in enumerate(masks[:i]):
                 assert mj & (mi >> (1 << j)) == mi & (mj >> (1 << i))
+
+
+def test_packed_partial_reads_the_masks_of_the_narrowest_table(monkeypatch):
+    # the partial of a packed vector is the partial of its term set, in every
+    # variable up to two past its table, and it reads only the level masks of
+    # the narrowest table that holds the vector: a vector whose highest entry
+    # lies in the top half of a 2^n table, the last entry (x1*...*xn)
+    # included, reads the masks of arity n
+    arities = []
+    level_masks = anf._level_masks
+    monkeypatch.setattr(anf, "_level_masks", lambda arity: arities.append(arity) or level_masks(arity))
+    rng = random.Random(32)
+    for n in range(1, 8):
+        top = 1 << ((1 << n) - 1)
+        for bits in (top, 1 << (1 << (n - 1)), top | rng.getrandbits(1 << n), (top << 1) - 1):
+            arities.clear()
+            terms = bit_positions(bits, 1 << n)
+            for i in range(n + 2):
+                bit = 1 << i
+                assert anf._packed_partial(bits, bit) == sum(1 << (m ^ bit) for m in terms if m & bit)
+            assert set(arities) == {n}
 
 
 @pytest.mark.parametrize("n", [10, 16, 20])

@@ -48,6 +48,11 @@ def test_grade():
     assert KForm.term(ZhegalkinPoly.variable(2, 1), [2]).degree == 1
     assert KForm.from_poly(ZhegalkinPoly.one(2)).degree == 0
     assert KForm.term(ZhegalkinPoly.one(3), [1, 2, 3]).degree == 3
+    # a repeated index annihilates, as in wedge: d{1}^d{1} = 0, capped at degree n
+    f, one = ZhegalkinPoly.variable(2, 2), ZhegalkinPoly.one(2)
+    assert KForm.term(f, [1, 1]) == KForm.zero(2, 2) == KForm.term(f, [1]).wedge(KForm.term(one, [1]))
+    assert KForm.term(f, iter([2, 1, 2])) == KForm.zero(2, 2)
+    assert KForm.term(ZhegalkinPoly.one(1), [1, 1]) == KForm.zero(1, 1)
 
 
 def test_coefficient_accessor():
@@ -58,6 +63,13 @@ def test_coefficient_accessor():
         w.coefficient([1, 2])  # wrong degree
     f = ZhegalkinPoly.variable(2, 2)
     assert KForm.from_poly(f).coefficient(0) == f
+    v = KForm.term(ZhegalkinPoly.one(3), [1, 2])
+    assert v.coefficient(iter([1, 2])) == ZhegalkinPoly.one(3)
+    for key in ([1, 2, 2], [1, 1], True, False):  # a repeated index, a bool key
+        with pytest.raises(ValueError, match="invalid index set"):
+            v.coefficient(key)
+    with pytest.raises(ValueError, match="invalid index set"):
+        w.coefficient(True)
 
 
 def test_add():

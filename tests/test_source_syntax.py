@@ -7,7 +7,9 @@ No package or tool module imports a name it never reads, so a helper that
 is deleted cannot leave its import behind.
 
 Only `anf` knows how a polynomial is stored: no other package module reads
-its `_packed` vector, apart from the packed route of `d` in `forms`."""
+its `_packed` vector, apart from the size rule of `d` (`forms._dense`), and
+no other package module names `_level_masks`, the coefficient vector's
+layout."""
 
 import ast
 from pathlib import Path
@@ -70,13 +72,24 @@ def test_module_reads_every_name_it_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def reads_the_packed_store(path):
-    return any(isinstance(node, ast.Attribute) and node.attr == "_packed"
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+def reads_the_packed_store(tree):
+    return any(isinstance(node, ast.Attribute) and node.attr == "_packed" for node in ast.walk(tree))
+
+
+def names_the_level_masks(tree):
+    # as a name, an imported name, an attribute or a definition
+    return any("_level_masks" in (getattr(node, "id", None), getattr(node, "name", None),
+                                  getattr(node, "attr", None)) for node in ast.walk(tree))
 
 
 def test_only_anf_and_forms_read_the_packed_store():
-    package = [path for path in MODULES if path.parent == ROOT / "src" / "zhegalkin"]
-    readers = [path.name for path in package if reads_the_packed_store(path)]
+    package = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in MODULES if path.parent == ROOT / "src" / "zhegalkin"}
+    readers = [name for name, tree in package.items() if reads_the_packed_store(tree)]
     assert "anf.py" in readers
     assert [name for name in readers if name not in ("anf.py", "forms.py")] == []
+    # in forms, only d's size rule reads the store
+    assert [getattr(node, "name", type(node).__name__) for node in package["forms.py"].body
+            if reads_the_packed_store(node)] == ["_dense"]
+    # the level masks, and so the coefficient vector's layout, stay in anf
+    assert [name for name, tree in package.items() if names_the_level_masks(tree)] == ["anf.py"]
