@@ -59,8 +59,8 @@ class KForm(_Value):
 
     @classmethod
     def term(cls, poly: ZhegalkinPoly, indices) -> "KForm":
-        """Single-term form: poly times the basis element for `indices`.  A
-        repeated index annihilates, as in `wedge`, to the zero form."""
+        """Single-term form: poly times the basis element for `indices`; a
+        repeated index annihilates, as in `wedge` (degree min(len(indices), n))."""
         indices = list(indices)
         mask = mask_from_indices(indices, poly.arity)
         size = len(indices)
@@ -76,7 +76,7 @@ class KForm(_Value):
         if not isinstance(key, int):
             indices = list(key)
             key = mask_from_indices(indices, self.arity)
-            if key.bit_count() != len(indices):  # a repeated index
+            if key.bit_count() != len(indices):  # a repeated index names no set
                 key = -1
         if isinstance(key, bool) or key < 0 or key >> self.arity or key.bit_count() != self.degree:
             raise ValueError(f"invalid index set for a degree-{self.degree} form")
@@ -169,8 +169,8 @@ def _dense(w: KForm) -> bool:
     a vector.  The packed route makes one word-wide partial (a shift and
     a mask, `anf._packed_partial`) per coefficient and free index, packs
     each coefficient that holds only terms, and makes no output crossing:
-    each output holds only its vector.  A crossing costs at most about 2^n term
-    operations, with no overhead, so the packed route is taken when
+    each output holds only its vector.  A crossing costs at most about 2^n
+    term operations, with no overhead, so the packed route is taken when
     (n-k)*T + vectors * 2^n > unkept * 2^n.  A coefficient whose terms
     were read already is still charged a derivation: the packed route
     reads its vector without crossing either way.

@@ -495,7 +495,8 @@ def test_packed_partial_reads_the_masks_of_the_narrowest_table(monkeypatch):
     # included, reads the masks of arity n
     arities = []
     level_masks = anf._level_masks
-    monkeypatch.setattr(anf, "_level_masks", lambda arity: arities.append(arity) or level_masks(arity))
+    monkeypatch.setattr(anf, "_level_masks",
+                        lambda arity: arities.append(arity) or level_masks(arity))
     rng = random.Random(32)
     for n in range(1, 8):
         top = 1 << ((1 << n) - 1)
@@ -504,7 +505,8 @@ def test_packed_partial_reads_the_masks_of_the_narrowest_table(monkeypatch):
             terms = bit_positions(bits, 1 << n)
             for i in range(n + 2):
                 bit = 1 << i
-                assert anf._packed_partial(bits, bit) == sum(1 << (m ^ bit) for m in terms if m & bit)
+                want = sum(1 << (m ^ bit) for m in terms if m & bit)
+                assert anf._packed_partial(bits, bit) == want
             assert set(arities) == {n}
 
 

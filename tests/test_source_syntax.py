@@ -73,7 +73,8 @@ def test_module_reads_every_name_it_imports(path):
 
 
 def reads_the_packed_store(tree):
-    return any(isinstance(node, ast.Attribute) and node.attr == "_packed" for node in ast.walk(tree))
+    return any(isinstance(node, ast.Attribute) and node.attr == "_packed"
+               for node in ast.walk(tree))
 
 
 def names_the_level_masks(tree):
