@@ -22,10 +22,11 @@ the butterfly runs unchecked.  Exactly two functions cross, each linear
 in the table size: `_positions` (packed int to ascending positions) and
 `_pack` (positions to packed int).  A polynomial built by
 `from_coeff_bits`, `from_truth_table`, the table route of `*`, `+` of two
-vectors or the packed route of `KForm.d` stores only its arity and that
-vector, its canonical store; its term set is derived whole on the first
-read of `.terms` and stored once.  Any other polynomial stores its term
-set and `_packed = None`.  Only this module reads the store, apart from
+vectors or the packed route of `KForm.d` stores its arity and that vector
+(`_packed`), its canonical store, and `_terms = None`; the `terms`
+property derives the term set whole on its first read and only then
+stores it in `_terms`.  Any other polynomial stores its term set in
+`_terms` and `_packed = None`.  Only this module reads the store, apart from
 `d`'s size rule in `forms`.  `coeff_bits`, `to_truth_table`, `*`, `+`
 and `d`'s packed route read the vector without crossing, the last through
 `_packed_partial`, the Boolean partial of a vector.  Two readers give
@@ -249,8 +250,8 @@ class _Value:
     Assigning or deleting a field raises AttributeError, so a value never
     changes once built and is safe to share between threads; every
     operation returns a new value.  Pickling and copying rebuild the value
-    through its public constructor.  Constructors write the fields through
-    the slot descriptors (`ZhegalkinPoly.terms.__set__` and so on), which
+    through its public constructor.  Constructors write the slots through
+    their descriptors (`ZhegalkinPoly._terms.__set__` and so on), which
     bypass the frozen `__setattr__`.
     """
 
@@ -286,10 +287,11 @@ class ZhegalkinPoly(_Value):
     XOR-folds it in, so a repeated mask cancels but never hides a bad one.
     """
 
-    # `_packed` is the vector a polynomial was built from, or None, and is
-    # not a field; with a vector, `terms` is unset until read (`__getattr__`)
+    # the store, which is not a field: `_packed` is the vector a polynomial
+    # was built from, or None, and `_terms` its term set, or None until the
+    # `terms` property first reads a vector
     __match_args__ = ("arity", "terms")
-    __slots__ = (*__match_args__, "_packed")
+    __slots__ = ("arity", "_terms", "_packed")
 
     def __init__(self, arity: int, terms=()):
         _check_positive(arity)
@@ -330,14 +332,25 @@ class ZhegalkinPoly(_Value):
     @classmethod
     def from_coeff_bits(cls, arity: int, bits: int) -> "ZhegalkinPoly":
         """Build from a packed coefficient vector (bit m set = monomial m)."""
-        return _poly_from_packed(arity, _check_packed(bits, arity))
+        return _make_poly(arity, None, _check_packed(bits, arity))
 
     @classmethod
     def from_truth_table(cls, table: "TruthTable") -> "ZhegalkinPoly":
         """The unique polynomial realizing the given truth table."""
         if not isinstance(table, TruthTable):
             raise TypeError("from_truth_table expects a TruthTable")
-        return _poly_from_packed(table.arity, _butterfly(table.bits, table.arity))
+        return _make_poly(table.arity, None, _butterfly(table.bits, table.arity))
+
+    @property
+    def terms(self) -> frozenset:
+        """The canonical set of monomial masks."""
+        terms = self._terms
+        if terms is None:
+            # a vector's term set, derived whole on its first read and only
+            # then stored, so no thread sees part of it
+            terms = frozenset(_positions(self._packed))
+            _set_terms(self, terms)
+        return terms
 
     def coeff_bits(self) -> int:
         """The term set as a packed coefficient vector (bit m = monomial m)."""
@@ -387,7 +400,7 @@ class ZhegalkinPoly(_Value):
         _check_same_arity(self, other)
         bits = self._packed
         if bits is not None and other._packed is not None:
-            return _poly_from_packed(self.arity, bits ^ other._packed)
+            return _make_poly(self.arity, None, bits ^ other._packed)
         return _make_poly(self.arity, self.terms ^ other.terms)
 
     def __mul__(self, other):
@@ -402,7 +415,7 @@ class ZhegalkinPoly(_Value):
         elif len(self) * len(other) > (1 << n) + _DENSE_PRODUCT_OVERHEAD:
             # the product is the pointwise AND of the two truth tables
             bits = _butterfly(_coeffs(self), n) & _butterfly(_coeffs(other), n)
-            return _poly_from_packed(n, _butterfly(bits, n))
+            return _make_poly(n, None, _butterfly(bits, n))
         # folded inline: on sparse_symbolic's own f * g operands (120 seed-1
         # inputs, median 42 x 42 terms) a fold function fed by a generator
         # ran about 1.14x slower; `factors` saves an attribute read per term
@@ -420,16 +433,7 @@ class ZhegalkinPoly(_Value):
     def __len__(self):
         # the term count of either store: a vector's set is not derived
         bits = self._packed
-        return len(self.terms) if bits is None else bits.bit_count()
-
-    def __getattr__(self, name):
-        # runs only for an unset slot: a vector's term set, derived whole on
-        # its first read and only then stored, so no thread sees part of it
-        if name != "terms":
-            return object.__getattribute__(self, name)  # raises as it would unhooked
-        terms = frozenset(_positions(self._packed))
-        _set_terms(self, terms)
-        return terms
+        return len(self._terms) if bits is None else bits.bit_count()
 
     def __repr__(self):
         return f"ZhegalkinPoly({self.arity}, {sorted(self.terms)})"
@@ -451,21 +455,13 @@ class ZhegalkinPoly(_Value):
         return " + ".join(parts)
 
 
-# The internal fast path: terms must already be a canonical frozenset.  As a
+# The internal fast path: terms must already be a canonical frozenset, or
+# None with a packed vector that already fits the 2^arity entries.  As a
 # module-level function it costs less per call than as a class/staticmethod.
-def _make_poly(arity: int, terms: frozenset) -> ZhegalkinPoly:
+def _make_poly(arity: int, terms: frozenset | None, bits: int | None = None) -> ZhegalkinPoly:
     p = _new(ZhegalkinPoly)
     _set_poly_arity(p, arity)
     _set_terms(p, terms)
-    _set_packed(p, None)
-    return p
-
-
-def _poly_from_packed(arity: int, bits: int) -> ZhegalkinPoly:
-    # bits must already fit the 2^arity entries; the term set waits for
-    # its first read (`ZhegalkinPoly.__getattr__`)
-    p = _new(ZhegalkinPoly)
-    _set_poly_arity(p, arity)
     _set_packed(p, bits)
     return p
 
@@ -473,14 +469,14 @@ def _poly_from_packed(arity: int, bits: int) -> ZhegalkinPoly:
 def _coeffs(p: ZhegalkinPoly) -> int:
     # p.arity <= MAX_DENSE_ARITY: the packed vector it was built from, or a new one
     bits = p._packed
-    return _pack(p.terms, 1 << p.arity) if bits is None else bits
+    return _pack(p._terms, 1 << p.arity) if bits is None else bits
 
 
 def _holding(p: ZhegalkinPoly, bit: int) -> int:
     # how many of p's terms hold the variable with mask `bit`: the terms of
     # its partial in that variable, or one term-set pass
     bits = p._packed
-    return (len([m for m in p.terms if m & bit]) if bits is None
+    return (len([m for m in p._terms if m & bit]) if bits is None
             else _packed_partial(bits, bit).bit_count())
 
 
@@ -498,7 +494,7 @@ def _packed_partial(bits: int, bit: int) -> int:
 
 _new = object.__new__
 _set_poly_arity = ZhegalkinPoly.arity.__set__
-_set_terms = ZhegalkinPoly.terms.__set__
+_set_terms = ZhegalkinPoly._terms.__set__
 _set_packed = ZhegalkinPoly._packed.__set__
 
 

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
                   _check_same_arity, _coeffs, _make_poly, _new, _packed_partial,
-                  _poly_from_packed, _Value, indices_from_mask, mask_from_indices)
+                  _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
 
@@ -242,7 +242,7 @@ def _d_packed(w: KForm) -> KForm:
             out = key | bit
             acc[out] = acc.get(out, 0) ^ _packed_partial(bits, bit)
     return _make_form(n, min(w.degree + 1, n), {
-        out: _poly_from_packed(n, bits) for out, bits in acc.items() if bits
+        out: _make_poly(n, None, bits) for out, bits in acc.items() if bits
     })
 
 

@@ -32,7 +32,7 @@ from collections import namedtuple
 from itertools import product
 
 from .anf import (_check_bit, _check_dense_arity, _check_index, _check_positive, _holding,
-                  _poly_from_packed)
+                  _make_poly)
 from .forms import KForm, _make_form
 
 __all__ = [
@@ -176,6 +176,6 @@ def _sweep_forms(arity, slots, exhaustive, count, seed):
         draws = ([rng.getrandbits(width) for _ in slots] for _ in range(count))
     for slot_bits in draws:
         yield _make_form(arity, arity - 1, {
-            slot: _poly_from_packed(arity, bits)
+            slot: _make_poly(arity, None, bits)
             for slot, bits in zip(slots, slot_bits) if bits
         })

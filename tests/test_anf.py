@@ -237,11 +237,10 @@ def test_vector_builders_derive_the_term_set_on_first_read():
         bits = p._packed
         assert bits is not None
         assert len(p) == bits.bit_count() and bool(p) is (bits != 0)
-        with pytest.raises(AttributeError):
-            ZhegalkinPoly.terms.__get__(p)  # the slot itself is unset
+        assert p._terms is None  # the store holds no term set yet
         terms = p.terms
         assert terms == frozenset(bit_positions(bits, w)) and len(p) == len(terms)
-        assert p.terms is terms and ZhegalkinPoly.terms.__get__(p) is terms
+        assert p.terms is terms and p._terms is terms
         assert p == ZhegalkinPoly(n, terms) and p._packed == bits
     with pytest.raises(AttributeError, match="has no attribute 'other'"):
         ZhegalkinPoly.from_coeff_bits(n, 1).other
@@ -609,6 +608,8 @@ def test_str_cost_follows_highest_variable_not_arity():
 # one sample of each value type, with its fields; each call builds a new value
 VALUE_SAMPLES = {
     "poly": (lambda: ZhegalkinPoly(3, [0b101, 0]), ("arity", "terms")),
+    # a vector-built polynomial whose term set has not been read
+    "vector_poly": (lambda: ZhegalkinPoly.from_coeff_bits(3, 0b10010110), ("arity", "terms")),
     "table": (lambda: TruthTable(2, 0x6), ("arity", "bits")),
     "form": (
         lambda: KForm(2, 1, {0b01: ZhegalkinPoly.one(2), 0b10: ZhegalkinPoly.variable(2, 1)}),

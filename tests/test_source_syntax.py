@@ -7,9 +7,11 @@ No package or tool module imports a name it never reads, so a helper that
 is deleted cannot leave its import behind.
 
 Only `anf` knows how a polynomial is stored: no other package module reads
-its `_packed` vector, apart from the size rule of `d` (`forms._dense`), and
-no other package module names `_level_masks`, the coefficient vector's
-layout."""
+its `_terms` slot, or its `_packed` vector apart from the size rule of `d`
+(`forms._dense`), and no other package module names `_level_masks`, the
+coefficient vector's layout.  No class in the package defines an attribute
+hook (`__getattr__` or `__getattribute__`), so CPython 3.11 can specialize
+attribute reads on every value."""
 
 import ast
 from pathlib import Path
@@ -72,9 +74,30 @@ def test_module_reads_every_name_it_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def reads_the_packed_store(tree):
-    return any(isinstance(node, ast.Attribute) and node.attr == "_packed"
+def reads_the_store(tree, slot="_packed"):
+    return any(isinstance(node, ast.Attribute) and node.attr == slot
                for node in ast.walk(tree))
+
+
+def attribute_hooks(tree):
+    # each `__getattr__` or `__getattribute__` that a class body defines by
+    # a def or an assignment
+    return [f"{cls.name}.{name}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            for name in (getattr(node, "name", None),
+                         *(getattr(target, "id", None) for target in getattr(node, "targets", ())))
+            if name in ("__getattr__", "__getattribute__")]
+
+
+def test_attribute_hooks_finds_each_kind_of_definition():
+    tree = ast.parse(
+        "class A:\n    def __getattr__(self, name): pass\n"
+        "class B:\n    __getattribute__ = object.__getattribute__\n"
+        "class C:\n    def get(self): pass\n"
+        "def __getattr__(name): pass\n"
+    )
+    assert attribute_hooks(tree) == ["A.__getattr__", "B.__getattribute__"]
 
 
 def names_the_level_masks(tree):
@@ -86,11 +109,16 @@ def names_the_level_masks(tree):
 def test_only_anf_and_forms_read_the_packed_store():
     package = {path.name: ast.parse(path.read_text(encoding="utf-8"))
                for path in MODULES if path.parent == ROOT / "src" / "zhegalkin"}
-    readers = [name for name, tree in package.items() if reads_the_packed_store(tree)]
+    readers = [name for name, tree in package.items() if reads_the_store(tree)]
     assert "anf.py" in readers
     assert [name for name in readers if name not in ("anf.py", "forms.py")] == []
+    # the term set's slot is read in anf alone: elsewhere through `.terms`
+    assert [name for name, tree in package.items()
+            if name != "anf.py" and reads_the_store(tree, "_terms")] == []
+    # no attribute hook, so no value's attribute reads fall back to the generic path
+    assert [hook for tree in package.values() for hook in attribute_hooks(tree)] == []
     # in forms, only d's size rule reads the store
     assert [getattr(node, "name", type(node).__name__) for node in package["forms.py"].body
-            if reads_the_packed_store(node)] == ["_dense"]
+            if reads_the_store(node)] == ["_dense"]
     # the level masks, and so the coefficient vector's layout, stay in anf
     assert [name for name, tree in package.items() if names_the_level_masks(tree)] == ["anf.py"]
