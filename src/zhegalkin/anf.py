@@ -26,13 +26,13 @@ vectors or the packed route of `KForm.d` stores its arity and that vector
 (`_packed`), its canonical store, and `_terms = None`; the `terms`
 property derives the term set whole on its first read and only then
 stores it in `_terms`.  Any other polynomial stores its term set in
-`_terms` and `_packed = None`.  Only this module reads the store, apart from
-`d`'s size rule in `forms`.  `coeff_bits`, `to_truth_table`, `*`, `+`
-and `d`'s packed route read the vector without crossing, the last through
-`_packed_partial`, the Boolean partial of a vector.  Two readers give
-every count from either store: `len(p)`, the term count (so a truth test
-is a zero test), and `_holding(p, bit)`, the number of terms that hold
-one variable, a partial's count on a vector.  Packed tables are walked
+`_terms` and `_packed = None`.  Only this module reads the store.
+`coeff_bits`, `to_truth_table`, `*`, `+` and `d`'s packed route read the
+vector without crossing, the last through `_packed_partial`, the Boolean
+partial of a vector.  Three readers give every count from either store:
+`len(p)`, the term count (a truth test is a zero test), `_holding(p, bit)`,
+the terms that hold one variable, and `_unkept(polys)`, the polynomials
+that hold no vector, for `d`'s size rule.  Packed tables are walked
 per entry.  `str` peels a monomial one set bit at a time (`m & -m`), and
 each peel is an int operation as wide as the mask, so a term costs its
 factors times its width; `indices_from_mask` walks a mask's bytes once.
@@ -249,10 +249,10 @@ class _Value:
     the same class with equal fields, and hashes its field tuple.
     Assigning or deleting a field raises AttributeError, so a value never
     changes once built and is safe to share between threads; every
-    operation returns a new value.  Pickling and copying rebuild the value
-    through its public constructor.  Constructors write the slots through
-    their descriptors (`ZhegalkinPoly._terms.__set__` and so on), which
-    bypass the frozen `__setattr__`.
+    operation returns a new value.  Pickling rebuilds the value through its
+    public constructor; a copy, shallow or deep, is the value itself.
+    Constructors write the slots through their descriptors, which bypass
+    the frozen `__setattr__` (`ZhegalkinPoly._terms.__set__` and so on).
     """
 
     __slots__ = ()
@@ -277,6 +277,11 @@ class _Value:
 
     def __reduce__(self):
         return self.__class__, self._values()
+
+    def __copy__(self, memo=None):
+        return self  # as for Python's immutable types: a polynomial keeps its vector
+
+    __deepcopy__ = __copy__
 
 
 class ZhegalkinPoly(_Value):
@@ -359,7 +364,10 @@ class ZhegalkinPoly(_Value):
 
     def to_truth_table(self) -> "TruthTable":
         """Evaluate at every vertex via the packed butterfly."""
-        return _make_table(self.arity, _butterfly(self.coeff_bits(), self.arity))
+        t = _new(TruthTable)  # unchecked: the butterfly keeps 2^arity entries
+        _set_table_arity(t, self.arity)
+        _set_bits(t, _butterfly(self.coeff_bits(), self.arity))
+        return t
 
     def evaluate(self, vertex: int) -> int:
         """Value at a vertex, an int mask (bit j-1 = x_j): XOR over the
@@ -480,6 +488,11 @@ def _holding(p: ZhegalkinPoly, bit: int) -> int:
             else _packed_partial(bits, bit).bit_count())
 
 
+def _unkept(polys) -> int:
+    # how many hold no packed vector: the packings a packed route makes
+    return len([p for p in polys if p._packed is None])
+
+
 def _packed_partial(bits: int, bit: int) -> int:
     # the Boolean partial of a packed coefficient vector in the variable with
     # mask `bit` (= 1 << i): monomial m holding the bit moves down `bit`
@@ -513,14 +526,6 @@ class TruthTable(_Value):
     def __str__(self):
         nibbles = ((1 << self.arity) + 3) // 4
         return f"{self.arity}:{self.bits:0{nibbles}X}"
-
-
-def _make_table(arity: int, bits: int) -> TruthTable:
-    # internal fast path: bits must already fit the 2^arity entries
-    t = _new(TruthTable)
-    _set_table_arity(t, arity)
-    _set_bits(t, bits)
-    return t
 
 
 _set_table_arity = TruthTable.arity.__set__

@@ -79,10 +79,6 @@ def _read_poly(args) -> ZhegalkinPoly:
             ) from None
 
 
-def _cmd_anf(args) -> ZhegalkinPoly:
-    return _read_poly(args)
-
-
 def _cmd_table(args) -> TruthTable:
     return _read_poly(args).to_truth_table()
 
@@ -146,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("anf", help="convert an n:HEX table, ANF or expression to ANF")
     p.add_argument("input", help='"n:HEX", ANF text, expression like "x1 | x2", or -')
-    p.set_defaults(handler=_cmd_anf)
+    p.set_defaults(handler=_read_poly)
 
     p = add_parser("table", help="convert an expression or ANF to n:HEX")
     p.add_argument("input", help="expression or ANF text, or -")

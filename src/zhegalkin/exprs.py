@@ -10,23 +10,25 @@ Grammar, loosest first.  A run of one operator is one node, so
     unary := "!" unary | atom
     atom  := "0" | "1" | "x" DIGITS | "(" expr ")"
 
-The words and/or/xor/not are aliases for &, |, ^, !.  Whitespace between
-tokens is insignificant; DIGITS are ASCII.  The lexer here also reads the
-canonical formats of `textio`, where a whole monomial such as "x1*x3" is
-one token; in an expression its "*" is an unexpected character, as any
-other.  Translation uses the Boolean-ring identities: a&b is a*b, a|b is
-a+b+a*b, !a is 1+a, and ^ is ring addition.
+The words and/or/xor/not are aliases for &, |, ^, !, which `parse_expr`
+puts in their place once, as it lexes; any other name is unknown.
+Whitespace between tokens is insignificant; DIGITS are ASCII.  The lexer
+here also reads the canonical formats of `textio`, where a whole monomial
+such as "x1*x3" is one token; in an expression its "*" is an unexpected
+character, as any other.  Translation uses the Boolean-ring identities:
+a&b is a*b, a|b is a+b+a*b, !a is 1+a, and ^ is ring addition.
 
-The parser reads the lexer's tokens in place and checks each one as it
+The parser reads those tokens in place and checks each one as it
 reads it.  Lexical errors (bad numbers, names, characters) come first,
 the leftmost anywhere: when parsing fails, all tokens are checked again
 before the syntax error is raised, so one after the failure still wins.
 
-Cost model: lexing is one regex scan that yields token texts only, and a
-token's source position is found, by scanning the source again, only when
-an error is raised.  One reader reads an operand ("!", a group or an
-atom), then each run of one operator after it that binds at least as
-tightly as its caller allows, as one node: an operand costs one call.
+Cost model: lexing is one regex scan that yields token texts only, and
+one dict lookup per token resolves the words.  A token's source position
+is found, by scanning the source again, only when an error is raised.
+One reader reads an operand ("!", a group or an atom), then each run of
+one operator after it that binds at least as tightly as its caller
+allows, as one node: an operand costs one call.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ _set_operands = _Chain.operands.__set__
 
 _WORD_OPS = {"and": "&", "or": "|", "xor": "^", "not": "!"}
 _OPERATORS = frozenset("&|^!()") | {""}  # "" is the end of input
-# binary operator text -> (level, node), level 0 the loosest; words map onto them
+# binary operator text -> (level, node), level 0 the loosest
 _LEVELS = {"|": (0, Or), "^": (1, Xor), "&": (2, And)}
 
 # The one lexer for every text format: monomials x<i>*x<j>*..., ASCII
@@ -179,8 +181,8 @@ def _number(digits: str, source: str, i: int, offset: int = 0) -> int:
 
 
 def _atom(source: str, text: str, i: int) -> Expr | None:
-    """The Var or Const that token i, `text`, reads as, else None; raises
-    its lexical error."""
+    """The Var or Const that token i, `text`, reads as, else None for an
+    operator; raises its lexical error."""
     kind = _kind(text)
     if kind == "var":
         head = text.split("*", 1)[0].rstrip()
@@ -197,9 +199,8 @@ def _atom(source: str, text: str, i: int) -> Expr | None:
     if kind == "name":
         if text == "x":
             raise ParseError("expected digits after 'x'", _at(source, i, 1))
-        if text not in _WORD_OPS:
-            raise ParseError(f"unknown name {text!r}", _at(source, i))
-    elif kind not in _OPERATORS:
+        raise ParseError(f"unknown name {text!r}", _at(source, i))
+    if kind not in _OPERATORS:
         raise ParseError(f"unexpected character {kind!r}", _at(source, i))
     return None
 
@@ -214,12 +215,11 @@ def _read(source: str, tokens, i: int, level: int, depth: int) -> tuple[Expr, in
     """The expression at tokens[i] whose operators bind at `level` or
     tighter (len(_LEVELS): a lone operand), and the index after it."""
     text = tokens[i]
-    op = _WORD_OPS.get(text, text)
-    if op == "!" or op == "(":
-        depth += 1 if op == "!" else len(_LEVELS)
+    if text == "!" or text == "(":
+        depth += 1 if text == "!" else len(_LEVELS)
         if depth > _MAX_DEPTH:
             raise ParseError("expression nested too deeply", _at(source, i))
-        if op == "!":
+        if text == "!":
             child, i = _read(source, tokens, i + 1, len(_LEVELS), depth)
             expr = Not(child)
         else:
@@ -228,16 +228,16 @@ def _read(source: str, tokens, i: int, level: int, depth: int) -> tuple[Expr, in
     else:
         expr = _atom(source, text, i)
         if expr is None:
-            message = f"unexpected token {op!r}" if text else "unexpected end of input"
+            message = f"unexpected token {text!r}" if text else "unexpected end of input"
             raise ParseError(message, _at(source, i))
         i += 1
     while True:
-        op = _WORD_OPS.get(tokens[i], tokens[i])
+        op = tokens[i]
         at, node = _LEVELS.get(op, (-1, None))
         if at < level:
             return expr, i
         operands = [expr]
-        while _WORD_OPS.get(tokens[i], tokens[i]) == op:
+        while tokens[i] == op:
             operand, i = _read(source, tokens, i + 1, at + 1, depth)
             operands.append(operand)
         expr = node(operands)
@@ -245,7 +245,7 @@ def _read(source: str, tokens, i: int, level: int, depth: int) -> tuple[Expr, in
 
 def parse_expr(source: str) -> Expr:
     """Parse an expression; raises ParseError with a position on bad input."""
-    tokens = _lex(source)
+    tokens = [_WORD_OPS.get(text, text) for text in _lex(source)]
     try:
         expr, i = _read(source, tokens, 0, 0, 0)
         if tokens[i]:

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .anf import (MAX_DENSE_ARITY, ZhegalkinPoly, _check_pair_budget, _check_positive,
                   _check_same_arity, _coeffs, _make_poly, _new, _packed_partial,
-                  _Value, indices_from_mask, mask_from_indices)
+                  _unkept, _Value, indices_from_mask, mask_from_indices)
 
 __all__ = ["KForm"]
 
@@ -171,9 +171,9 @@ def _dense(w: KForm) -> bool:
     each coefficient that holds only terms, and makes no output crossing:
     each output holds only its vector.  A crossing costs at most about 2^n
     term operations, with no overhead, so the packed route is taken when
-    (n-k)*T + vectors * 2^n > unkept * 2^n.  A coefficient whose terms
-    were read already is still charged a derivation: the packed route
-    reads its vector without crossing either way.
+    (n-k)*T + vectors * 2^n > unkept * 2^n, unkept counted by `anf._unkept`.
+    A coefficient whose terms were read already is still charged a
+    derivation: the packed route reads its vector without crossing either way.
 
     On (n-1)-forms with n coefficients of t terms each, the packed route
     measured faster from the t below: from t = 1 when the coefficients
@@ -194,7 +194,7 @@ def _dense(w: KForm) -> bool:
     if n > MAX_DENSE_ARITY:  # no packed vectors
         return False
     polys = w.coeffs.values()
-    unkept = len([poly for poly in polys if poly._packed is None])
+    unkept = _unkept(polys)
     return (n - k) * _term_count(w) + ((len(polys) - unkept) << n) > unkept << n
 
 

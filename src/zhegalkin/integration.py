@@ -99,9 +99,7 @@ class StokesReport(namedtuple("StokesReport", "lhs rhs passed form")):
 
 def stokes_check(w: KForm) -> StokesReport:
     """Compare the cube integral of dw with the boundary integral of w."""
-    n = w.arity
-    if w.degree != n - 1:
-        raise ValueError(f"the check needs a degree-{n - 1} form, got {w.degree}")
+    _check_form_degree(w, w.arity - 1, "the check")
     lhs = integrate_top(w.d())
     rhs = integrate_boundary(w)
     return StokesReport(lhs=lhs, rhs=rhs, passed=lhs == rhs, form=w)

@@ -16,6 +16,7 @@ from zhegalkin import (
     SecantElement,
     TruthTable,
     ZhegalkinPoly,
+    expr_to_anf,
     indices_from_mask,
     mask_from_indices,
     mobius_transform,
@@ -645,6 +646,29 @@ def test_values_keep_the_value_contract(kind):
     for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
         c = round_trip(a)
         assert type(c) is type(a) and c == a and hash(c) == hash(a) and repr(c) == repr(a)
+    # a value never changes, so a copy of it is the value itself
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+
+
+# an operation handed a value of another type: `+` and `*` return
+# NotImplemented, so Python raises its own TypeError
+FOREIGN_OPERANDS = {
+    "poly_add": (lambda: ZhegalkinPoly.one(2) + 1, "unsupported operand"),
+    "poly_mul": (lambda: ZhegalkinPoly.one(2) * 1, "unsupported operand"),
+    "form_add": (lambda: KForm.zero(2, 1) + 1, "unsupported operand"),
+    "field_add": (lambda: VALUE_SAMPLES["field"][0]() + 1, "unsupported operand"),
+    "from_truth_table": (lambda: ZhegalkinPoly.from_truth_table(0x6),
+                         "from_truth_table expects a TruthTable"),
+    "wedge": (lambda: KForm.zero(2, 1).wedge(ZhegalkinPoly.one(2)), "wedge expects a KForm"),
+    "expr_to_anf": (lambda: expr_to_anf(ZhegalkinPoly.one(2), 2), "not an expression node"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN_OPERANDS))
+def test_operations_refuse_a_foreign_operand(case):
+    call, message = FOREIGN_OPERANDS[case]
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def test_poly_hash_and_equality():
@@ -657,10 +681,11 @@ def test_poly_hash_and_equality():
     kept = ZhegalkinPoly.from_truth_table(TruthTable(3, 0x5A))
     plain = ZhegalkinPoly(3, kept.terms)
     assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
-    for round_trip in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
-        c = round_trip(kept)
-        assert c == plain and hash(c) == hash(plain) and repr(c) == repr(plain)
-        assert c._packed is None
+    c = pickle.loads(pickle.dumps(kept))
+    assert c == plain and hash(c) == hash(plain) and repr(c) == repr(plain)
+    assert c._packed is None
+    # a copy is the value itself, so it keeps the vector
+    assert copy.copy(kept) is kept and copy.deepcopy(kept) is kept
     for p in (kept, plain):
         with pytest.raises(AttributeError):
             p._packed = 0

@@ -14,6 +14,11 @@ def test_median_matches_statistics(times):
     assert report.median_seconds == statistics.median(times)
 
 
+def test_median_of_no_times_raises():
+    with pytest.raises(ValueError, match="no median for empty data"):
+        TransformBenchReport(arity=10, reps=0, times=()).median_seconds
+
+
 def test_report_is_immutable_and_pickles():
     report = run_transform_benchmark(10, reps=2, seed=0)
     with pytest.raises(AttributeError):

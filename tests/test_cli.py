@@ -175,6 +175,16 @@ def test_integrate_requires_exactly_one_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    # argparse's usage error for a face that is not two integers
+    (["integrate", "--n", "2", "--face", "1,a", "(x2)*d{1}"], "expected integers I,J"),
+    (["wedge", "--n", "2", "-", "-"], "error: only one positional argument may read standard input"),
+])
+def test_bad_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and message in err, err
+
+
 def test_stokes_single_form(capsys):
     code, out, _ = run_cli(capsys, "stokes", "--n", "2", "(x2)*d{1}")
     assert code == 0
@@ -268,7 +278,7 @@ def test_fatal_exceptions_exit_without_traceback(capsys, monkeypatch, exc, code,
     def handler(args):
         raise exc
 
-    monkeypatch.setattr(cli, "_cmd_anf", handler)
+    monkeypatch.setattr(cli, "_read_poly", handler)
     assert run_cli(capsys, "anf", "--n", "2", "x1") == (code, "", message)
 
 

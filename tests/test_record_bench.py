@@ -68,6 +68,19 @@ def test_check_fails_another_seed(tmp_path):
     assert record_bench.check(path) == 1
 
 
+def test_record_refuses_counts_that_differ_between_hash_seeds():
+    counts = recorded_counts()
+    name = sorted(counts)[0]
+    assert record_bench.gated_counts(WORKLOAD, {"exact_counts": counts},
+                                     {"exact_counts": dict(counts)}) == counts
+    shifted = {**counts, name: counts[name] + 1}
+    with pytest.raises(SystemExit) as exit_:
+        record_bench.gated_counts(WORKLOAD, {"exact_counts": counts}, {"exact_counts": shifted})
+    message = str(exit_.value.code)
+    assert f"{name}: {counts[name]} != {counts[name] + 1}" in message
+    assert message.endswith("nothing recorded") and "\n" not in message
+
+
 def test_record_outside_a_git_checkout_exits_with_one_line(tmp_path):
     # a copy of the tool whose repository root is tmp_path, which git does not track
     (tmp_path / "tools").mkdir()

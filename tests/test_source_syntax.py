@@ -7,11 +7,10 @@ No package or tool module imports a name it never reads, so a helper that
 is deleted cannot leave its import behind.
 
 Only `anf` knows how a polynomial is stored: no other package module reads
-its `_terms` slot, or its `_packed` vector apart from the size rule of `d`
-(`forms._dense`), and no other package module names `_level_masks`, the
-coefficient vector's layout.  No class in the package defines an attribute
-hook (`__getattr__` or `__getattribute__`), so CPython 3.11 can specialize
-attribute reads on every value."""
+its `_terms` slot or its `_packed` vector, and no other package module
+names `_level_masks`, the coefficient vector's layout.  No class in the
+package defines an attribute hook (`__getattr__` or `__getattribute__`),
+so CPython 3.11 can specialize attribute reads on every value."""
 
 import ast
 from pathlib import Path
@@ -106,19 +105,15 @@ def names_the_level_masks(tree):
                                   getattr(node, "attr", None)) for node in ast.walk(tree))
 
 
-def test_only_anf_and_forms_read_the_packed_store():
+def test_only_anf_reads_the_packed_store():
     package = {path.name: ast.parse(path.read_text(encoding="utf-8"))
                for path in MODULES if path.parent == ROOT / "src" / "zhegalkin"}
-    readers = [name for name, tree in package.items() if reads_the_store(tree)]
-    assert "anf.py" in readers
-    assert [name for name in readers if name not in ("anf.py", "forms.py")] == []
-    # the term set's slot is read in anf alone: elsewhere through `.terms`
-    assert [name for name, tree in package.items()
-            if name != "anf.py" and reads_the_store(tree, "_terms")] == []
+    # both slots are read in anf alone: elsewhere through `.terms`, `len`
+    # and anf's readers
+    for slot in ("_packed", "_terms"):
+        assert [name for name, tree in package.items() if reads_the_store(tree, slot)] == [
+            "anf.py"], slot
     # no attribute hook, so no value's attribute reads fall back to the generic path
     assert [hook for tree in package.values() for hook in attribute_hooks(tree)] == []
-    # in forms, only d's size rule reads the store
-    assert [getattr(node, "name", type(node).__name__) for node in package["forms.py"].body
-            if reads_the_store(node)] == ["_dense"]
     # the level masks, and so the coefficient vector's layout, stay in anf
     assert [name for name, tree in package.items() if names_the_level_masks(tree)] == ["anf.py"]

@@ -15,9 +15,9 @@ merged into one JSON file at the repository root; the traced reports' kept
 spans are left out, everything else is kept.
 
 The two runs of a workload use different PYTHONHASHSEED values.  Their
-`exact_counts` (work counted over a fixed window of seeded ops) are
-recorded as the workload's gated counts when the two runs agree; a count
-on which they differ is listed under `ungated_counts` instead.
+`exact_counts` (work counted over a fixed window of seeded ops) must agree,
+and are recorded as the workload's gated counts; recording refuses to write
+the file if any count differs, and names each one that does.
 
 One rule judges a report: no failed op, no problem, seed 1, and exact
 counts equal to the gated counts.  Checking applies it with the counts of
@@ -113,6 +113,19 @@ def judge(report: dict, counts: dict, source: str) -> bool:
     return not found
 
 
+def gated_counts(workload: str, untraced: dict, traced: dict) -> dict:
+    """The exact counts of a workload's two runs, which must be equal: the
+    runs differ only in hash seed and tracing, and neither may change the
+    work done.  Exits naming each count that differs."""
+    a, b = untraced["exact_counts"], traced["exact_counts"]
+    differ = [f"{name}: {a.get(name)} != {b.get(name)}"
+              for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
+    if differ:
+        sys.exit(f"{workload}: the counts of hash seeds 0 and 1 differ "
+                 f"({'; '.join(differ)}); nothing recorded")
+    return a
+
+
 def record(out: Path) -> None:
     head = subprocess.run(["git", "rev-parse", "--show-toplevel", "--verify", "HEAD"],
                           cwd=ROOT, capture_output=True, text=True)
@@ -128,13 +141,8 @@ def record(out: Path) -> None:
         subprocess.run(["git", "checkout", "--quiet", "--detach", commit], cwd=tmp, check=True)
         for workload in WORKLOADS:
             untraced, traced = (run_workload(Path(tmp), workload, trace) for trace in (0, 1))
-            counts = untraced["exact_counts"]
-            ungated = sorted(name for name in counts if counts[name] != traced["exact_counts"][name])
-            gated = {name: n for name, n in counts.items() if name not in ungated}
-            workloads[workload] = {
-                "exact_counts": gated, "ungated_counts": ungated, "trace0": untraced, "trace1": traced,
-            }
-            print(f"{workload}: ungated counts: {', '.join(ungated) or 'none'}")
+            gated = gated_counts(workload, untraced, traced)
+            workloads[workload] = {"exact_counts": gated, "trace0": untraced, "trace1": traced}
             for report in (untraced, traced):
                 if not judge(report, gated, out.name):
                     sys.exit(f"{workload}: a run failed; nothing recorded")
